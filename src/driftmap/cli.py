@@ -138,7 +138,11 @@ def _load_pipeline(args) -> tuple[dict, AttributeSchema, EncodedDataset, str]:
     fmt = args.format or ("arff" if data_path.suffix.lower() == ".arff" else "csv")
     raw = ingest_records(data_bytes, fmt, schema)
 
-    bins = args.bins or (config.get("discretization") or {}).get("bins") or DEFAULT_BIN_COUNT
+    bins = args.bins
+    if bins is None:
+        bins = (config.get("discretization") or {}).get("bins")
+    if bins is None:
+        bins = DEFAULT_BIN_COUNT
     if getattr(args, "discretizer", None):
         discretizer = Discretizer.from_json(Path(args.discretizer).read_text(), schema)
     else:
@@ -167,10 +171,11 @@ def _provenance_doc(args, seed: str, extra: dict) -> dict:
 def _distance(args, config) -> str:
     if args.distance:
         return {"tvd": TOTAL_VARIATION, "hellinger": HELLINGER}[args.distance]
-    configured = (config.get("analysis") or {}).get("distance")
-    if configured in (TOTAL_VARIATION, HELLINGER):
-        return configured
-    return TOTAL_VARIATION
+    configured = (config.get("analysis") or {}).get("distance", TOTAL_VARIATION)
+    if configured not in (TOTAL_VARIATION, HELLINGER):
+        raise CliError(f"unknown analysis.distance {configured!r}; "
+                       f"expected {TOTAL_VARIATION!r} or {HELLINGER!r}")
+    return configured
 
 
 def _encoded_csv(encoded: EncodedDataset) -> str:

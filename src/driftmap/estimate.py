@@ -1,13 +1,17 @@
-"""Window selection and maximum-likelihood distribution estimates.
+"""Window selection, the counting kernel and maximum-likelihood estimates.
 
-Estimates are sparse: only observed code tuples are stored, absent tuples
-mean probability zero. Records missing a value on any attribute of the
-subset under analysis are dropped from that subset's counts only.
+Every estimate and measure counts code rows with one kernel,
+``count_table``: the code rows of an attribute list are encoded as
+mixed-radix integer keys, compacted with one ``np.unique`` over all the
+windows counted together, and bincounted per window. Estimates are sparse:
+only observed code tuples are stored, absent tuples mean probability zero.
+Records missing a value on any attribute of the subset under analysis are
+dropped from that subset's counts only.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,7 +22,8 @@ COVARIATES = "covariates-only"
 CLASS_ONLY = "class-only"
 JOINT = "covariates-plus-class"
 
-NORMALIZATION_TOL = 1e-9
+# largest product of cardinalities whose mixed-radix keys fit an int64
+MAX_KEY_SPACE = 2 ** 62
 
 
 class EstimationError(ValueError):
@@ -94,10 +99,6 @@ class WindowView:
     def record_count(self) -> int:
         return self.hi - self.lo
 
-    def codes(self, names) -> np.ndarray:
-        cols = self.dataset.column_indices(names)
-        return self.dataset.codes[self.lo:self.hi, cols]
-
 
 @dataclass(frozen=True)
 class DistributionEstimate:
@@ -140,10 +141,6 @@ class DistributionEstimate:
             sample_size=self.sample_size,
         )
 
-    def to_rows(self) -> list[tuple]:
-        """(code..., probability) rows sorted by code tuple, for CSV export."""
-        return [key + (p,) for key, p in sorted(self.support.items())]
-
 
 @dataclass(frozen=True)
 class ConditionalFamily:
@@ -171,21 +168,53 @@ def select_window(dataset: EncodedDataset, interval: TimeInterval) -> WindowView
     return WindowView(dataset=dataset, interval=interval, lo=lo, hi=hi)
 
 
-def _usable_rows(window: WindowView, names) -> np.ndarray:
-    codes = window.codes(names)
-    return codes[(codes != MISSING_CODE).all(axis=1)]
+def count_table(names, *windows: WindowView) -> tuple[np.ndarray, np.ndarray]:
+    """The counting kernel: counts of the code rows over ``names`` in each
+    of one or more windows, over one shared key space.
+
+    Returns ``keys`` (K x len(names)), every code row seen in any window
+    once, sorted lexicographically so that rows sharing their leading codes
+    are contiguous, and ``counts`` (windows x K, int64). Records missing a
+    value on any of ``names`` are dropped. Rows are compacted as mixed-radix
+    int64 keys, or as rows when the key space would not fit an int64.
+    """
+    dataset = windows[0].dataset
+    cols = dataset.column_indices(names)
+    rows = np.concatenate([dataset.codes[w.lo:w.hi, cols] for w in windows])
+    window_of = np.repeat(np.arange(len(windows)), [w.record_count for w in windows])
+    usable = (rows != MISSING_CODE).all(axis=1)
+    cards = np.array([dataset.cardinalities[c] for c in cols], dtype=np.int64)
+    if math.prod(cards.tolist()) > MAX_KEY_SPACE:
+        keys, inverse = np.unique(rows[usable], axis=0, return_inverse=True)
+        inverse = inverse.reshape(-1)
+    else:
+        strides = np.cumprod(np.append(1, cards[:0:-1]))[::-1]
+        codes, inverse = np.unique((rows[usable] * strides).sum(axis=1), return_inverse=True)
+        keys = codes[:, None] // strides % cards
+    counts = np.bincount(window_of[usable] * len(keys) + inverse,
+                         minlength=len(windows) * len(keys))
+    return keys, counts.reshape(len(windows), len(keys))
+
+
+def key_runs(keys: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Runs of sorted keys sharing their first ``k`` codes (``k=0``: one
+    run): the index of each run's first key, and each key's run number."""
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = (keys[1:, :k] != keys[:-1, :k]).any(axis=1)
+    return np.flatnonzero(first), np.cumsum(first) - 1
+
+
+def _support(keys: np.ndarray, counts: np.ndarray) -> dict[tuple[int, ...], float]:
+    total = counts.sum()
+    return dict(zip(map(tuple, keys.tolist()), (counts / total).tolist()))
 
 
 def estimate_distribution(window: WindowView, subset: AttributeSubset) -> DistributionEstimate:
     """ML estimate: observed-tuple counts over usable records, normalized."""
     subset.validate_against(window.dataset)
-    rows = _usable_rows(window, subset.names)
-    n = len(rows)
-    if n == 0:
-        return DistributionEstimate(subset=subset, support={}, sample_size=0)
-    counts = Counter(map(tuple, rows.tolist()))
-    support = {key: c / n for key, c in counts.items()}
-    return DistributionEstimate(subset=subset, support=support, sample_size=n)
+    keys, (counts,) = count_table(subset.names, window)
+    return DistributionEstimate(subset=subset, support=_support(keys, counts),
+                                sample_size=int(counts.sum()))
 
 
 def estimate_conditional(
@@ -199,26 +228,15 @@ def estimate_conditional(
     target.validate_against(window.dataset)
     conditioning.validate_against(window.dataset)
 
-    names = conditioning.names + target.names
-    rows = _usable_rows(window, names)
-    n = len(rows)
-    if n == 0:
-        return ConditionalFamily(conditioning=conditioning, target=target,
-                                 members={}, sample_size=0)
-
     k = len(conditioning.names)
-    groups: dict[tuple[int, ...], Counter] = {}
-    for row in map(tuple, rows.tolist()):
-        groups.setdefault(row[:k], Counter())[row[k:]] += 1
-
+    keys, (counts,) = count_table(conditioning.names + target.names, window)
+    n = int(counts.sum())
+    starts, _ = key_runs(keys, k)
     members = {}
-    for cond_key, counter in groups.items():
-        m = sum(counter.values())
+    for lo, hi in zip(starts, np.append(starts[1:], len(counts))):
+        m = int(counts[lo:hi].sum())
         inner = DistributionEstimate(
-            subset=target,
-            support={key: c / m for key, c in counter.items()},
-            sample_size=m,
-        )
-        members[cond_key] = (m / n, inner)
+            subset=target, support=_support(keys[lo:hi, k:], counts[lo:hi]), sample_size=m)
+        members[tuple(keys[lo, :k].tolist())] = (m / n, inner)
     return ConditionalFamily(conditioning=conditioning, target=target,
                              members=members, sample_size=n)

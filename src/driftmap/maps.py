@@ -15,16 +15,13 @@ import json
 from dataclasses import dataclass, field
 
 from .discretize import EncodedDataset
-from .estimate import (
-    AttributeSubset,
-    TimeInterval,
-    estimate_conditional,
-    select_window,
-)
+from .estimate import AttributeSubset, TimeInterval, count_table, select_window
+from .estimate import estimate_conditional  # noqa: F401 - a call point perfbench/spans.py wraps
 from .measures import (
     STATUS_INSUFFICIENT,
     STATUS_OK,
     TOTAL_VARIATION,
+    conditional_distances,
     distance_function,
     marginal_drift,
     posterior_drift,
@@ -180,21 +177,19 @@ def _class_labels(dataset: EncodedDataset) -> tuple[str, ...]:
     return tuple(dataset.discretizer.labels_for(dataset.schema.class_attribute))
 
 
-def _per_class_inner_distance(fam_a, fam_b, class_code: int, distance_kind: str):
-    """Inner (unweighted) distance of the target conditionals for one class.
+def _per_class_distances(dataset, window_a, window_b, names, distance_kind) -> list:
+    """Inner (unweighted) distance of the conditionals over ``names`` for
+    each class code, read out of one count table of the window pair.
 
-    One-sided support maps to 1.0; class absent from both windows is an
+    One-sided support maps to 1.0; a class absent from both windows is an
     insufficient-data cell (None).
     """
-    key = (class_code,)
-    in_a = key in fam_a.members
-    in_b = key in fam_b.members
-    if not in_a and not in_b:
-        return None
-    if in_a and in_b:
-        dist = distance_function(distance_kind)
-        return dist(fam_a.members[key][1], fam_b.members[key][1])
-    return 1.0
+    AttributeSubset.covariates(names).validate_against(dataset)
+    keys, counts = count_table((dataset.schema.class_attribute,) + names,
+                               select_window(dataset, window_a), select_window(dataset, window_b))
+    classes, _, _, d = conditional_distances(keys, counts, 1, distance_function(distance_kind))
+    found = dict(zip(classes[:, 0].tolist(), d.tolist()))
+    return [found.get(code) for code in range(len(_class_labels(dataset)))]
 
 
 def conditioned_univariate_map(
@@ -212,25 +207,15 @@ def conditioned_univariate_map(
     conditioned covariate drift.
     """
     attributes = tuple(attributes) if attributes else dataset.schema.covariate_names
-    classes = _class_labels(dataset)
-    class_subset = AttributeSubset.class_only(dataset.schema.class_attribute)
-    view_a = select_window(dataset, window_a)
-    view_b = select_window(dataset, window_b)
-
-    cells: list[tuple[float | None, ...]] = []
-    for attr in attributes:
-        target = AttributeSubset.covariates((attr,))
-        fam_a = estimate_conditional(view_a, target, class_subset)
-        fam_b = estimate_conditional(view_b, target, class_subset)
-        cells.append(tuple(
-            _per_class_inner_distance(fam_a, fam_b, code, distance_kind)
-            for code in range(len(classes))
-        ))
+    cells = tuple(
+        tuple(_per_class_distances(dataset, window_a, window_b, (attr,), distance_kind))
+        for attr in attributes
+    )
     grid = HeatMapGrid(
         map_kind=CONDITIONED_UNIVARIATE,
         row_labels=attributes,
-        col_labels=classes,
-        values=tuple(cells),
+        col_labels=_class_labels(dataset),
+        values=cells,
         window_a=window_a,
         window_b=window_b,
         distance_kind=distance_kind,
@@ -248,22 +233,15 @@ def conditioned_pairwise_map(
 ) -> list[HeatMapGrid]:
     """One attribute-pair grid per class; cells are unweighted inner distances."""
     attributes = tuple(attributes) if attributes else dataset.schema.covariate_names
-    classes = _class_labels(dataset)
-    class_subset = AttributeSubset.class_only(dataset.schema.class_attribute)
-    view_a = select_window(dataset, window_a)
-    view_b = select_window(dataset, window_b)
     n = len(attributes)
-
+    per_pair = {
+        (i, j): _per_class_distances(dataset, window_a, window_b,
+                                     _pair_subset(attributes[i], attributes[j]), distance_kind)
+        for i in range(n) for j in range(i, n)
+    }
     grids = []
-    for code, label in enumerate(classes):
-        cells: list[list[float | None]] = [[None] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i, n):
-                target = AttributeSubset.covariates(_pair_subset(attributes[i], attributes[j]))
-                fam_a = estimate_conditional(view_a, target, class_subset)
-                fam_b = estimate_conditional(view_b, target, class_subset)
-                cells[i][j] = cells[j][i] = _per_class_inner_distance(
-                    fam_a, fam_b, code, distance_kind)
+    for code, label in enumerate(_class_labels(dataset)):
+        cells = [[per_pair[min(i, j), max(i, j)][code] for j in range(n)] for i in range(n)]
         grid = HeatMapGrid(
             map_kind=CONDITIONED_PAIRWISE,
             row_labels=attributes,

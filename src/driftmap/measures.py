@@ -4,26 +4,20 @@ Plain distances (total variation, Hellinger) between marginal estimates,
 plus the two weighted conditional measures: conditioned covariate drift
 (per-class covariate distances weighted by average class probability) and
 posterior drift (per-tuple class distances weighted by average covariate
-tuple probability).
+tuple probability). Every measure is a reduction of one ``count_table``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .discretize import EncodedDataset
-from .estimate import (
-    CLASS_ONLY,
-    COVARIATES,
-    JOINT,
-    AttributeSubset,
-    DistributionEstimate,
-    TimeInterval,
-    estimate_conditional,
-    estimate_distribution,
-    select_window,
-)
+from .estimate import CLASS_ONLY, COVARIATES, JOINT, AttributeSubset, DistributionEstimate
+from .estimate import TimeInterval, count_table, key_runs, select_window
+# call points that perfbench/spans.py wraps; no measure calls them
+from .estimate import estimate_conditional, estimate_distribution  # noqa: F401
 
 TOTAL_VARIATION = "total_variation"
 HELLINGER = "hellinger"
@@ -86,58 +80,116 @@ class DriftMeasurement:
         }
 
 
-def _check_comparable(p: DistributionEstimate, q: DistributionEstimate) -> None:
-    if p.subset.names != q.subset.names or p.subset.role != q.subset.role:
-        raise MeasureError(
-            f"estimates are over different subsets: {p.subset} vs {q.subset}"
-        )
-    if p.is_empty or q.is_empty:
-        raise MeasureError("cannot measure distance to an empty estimate")
+def _grouped_tvd(a, b, ra, rb, starts) -> np.ndarray:
+    """Per group of keys, half the L1 distance between a/ra and b/rb.
+
+    ``a``, ``b`` are per-key masses and ``ra``, ``rb`` the totals of each
+    key's group. On integer counts, sum|a*rb - b*ra| / (2*ra*rb) stays
+    exact up to the last division: exactly 0.0 for proportional counts and
+    never above 1.0.
+    """
+    num = np.add.reduceat(np.abs(a * rb - b * ra), starts)
+    return np.minimum(1.0, num / (2 * ra[starts] * rb[starts]))
 
 
-def total_variation(p: DistributionEstimate, q: DistributionEstimate) -> float:
-    """Half the L1 distance over the union of supports; a metric in [0,1]."""
-    _check_comparable(p, q)
-    keys = p.support.keys() | q.support.keys()
-    return 0.5 * sum(abs(p.probability(k) - q.probability(k)) for k in keys)
-
-
-def hellinger(p: DistributionEstimate, q: DistributionEstimate) -> float:
-    """Hellinger distance over the support union; a metric in [0,1].
+def _grouped_hellinger(a, b, ra, rb, starts) -> np.ndarray:
+    """Per group of keys, the Hellinger distance between a/ra and b/rb.
 
     Computed as sqrt(0.5 * sum((sqrt p - sqrt q)^2)) rather than the
     algebraically equal sqrt(1 - sum(sqrt(p*q))): the latter amplifies
     rounding near zero (sqrt of a ~1e-16 residual is ~1e-8).
     """
-    _check_comparable(p, q)
-    keys = p.support.keys() | q.support.keys()
-    total = sum(
-        (math.sqrt(p.probability(k)) - math.sqrt(q.probability(k))) ** 2
-        for k in keys
-    )
-    return min(1.0, math.sqrt(0.5 * total))
+    sq = (np.sqrt(a / ra) - np.sqrt(b / rb)) ** 2
+    return np.minimum(1.0, np.sqrt(0.5 * np.add.reduceat(sq, starts)))
 
 
-_DISTANCES = {TOTAL_VARIATION: total_variation, HELLINGER: hellinger}
+_DISTANCES = {TOTAL_VARIATION: _grouped_tvd, HELLINGER: _grouped_hellinger}
 
 
 def distance_function(distance_kind: str):
+    """The grouped distance ``(a, b, ra, rb, starts) -> per-group distances``."""
     try:
         return _DISTANCES[distance_kind]
     except KeyError:
         raise MeasureError(f"unknown distance kind {distance_kind!r}") from None
 
 
-def _insufficient(kind, distance_kind, subset, window_a, window_b, sizes):
+def _estimate_distance(distance_kind, p: DistributionEstimate, q: DistributionEstimate):
+    if p.subset.names != q.subset.names or p.subset.role != q.subset.role:
+        raise MeasureError(
+            f"estimates are over different subsets: {p.subset} vs {q.subset}"
+        )
+    if p.is_empty or q.is_empty:
+        raise MeasureError("cannot measure distance to an empty estimate")
+    keys = p.support.keys() | q.support.keys()
+    a, b = (np.array([e.probability(k) for k in keys]) for e in (p, q))
+    ones = np.ones(len(keys))
+    return float(distance_function(distance_kind)(a, b, ones, ones, [0])[0])
+
+
+def total_variation(p: DistributionEstimate, q: DistributionEstimate) -> float:
+    """Half the L1 distance over the union of supports; a metric in [0,1]."""
+    return _estimate_distance(TOTAL_VARIATION, p, q)
+
+
+def hellinger(p: DistributionEstimate, q: DistributionEstimate) -> float:
+    """Hellinger distance over the support union; a metric in [0,1]."""
+    return _estimate_distance(HELLINGER, p, q)
+
+
+def conditional_distances(keys, counts, k: int, dist):
+    """Per conditioning tuple of a two-window ``count_table`` (a run of keys
+    sharing their first ``k`` codes): the tuple, its count in each window,
+    and the distance ``dist`` between the two windows' conditionals of the
+    other codes.
+
+    A tuple observed in only one window has an undefined conditional on the
+    other side; its distance is taken as 1.0 (the conditional's entire mass
+    appeared or disappeared), which keeps every measure symmetric.
+    """
+    starts, group = key_runs(keys, k)
+    a, b = counts
+    m_a, m_b = np.add.reduceat(a, starts), np.add.reduceat(b, starts)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d = dist(a, b, m_a[group], m_b[group], starts)
+    d[(m_a == 0) | (m_b == 0)] = 1.0
+    return keys[starts, :k], m_a, m_b, d
+
+
+def _drift(kind, dataset, window_a, window_b, subset, distance_kind,
+           conditioning, target) -> DriftMeasurement:
+    """The drift of ``target`` given ``conditioning`` over the window pair.
+
+    With no conditioning attributes this is the distance between the two
+    marginals. Otherwise it is the sum over conditioning tuples observed in
+    either window of 0.5 * (m_a/n_a + m_b/n_b) * inner distance, clamped at
+    1.0 like Hellinger, so rounding never lifts a magnitude above 1. The
+    weights are summed over integer counts, so the sum is exactly 1.0 when
+    every inner distance is 1.0 and exactly 0.0 when every one is 0.0.
+    """
+    dist = distance_function(distance_kind)
+    if conditioning and subset.role != COVARIATES:
+        raise MeasureError(f"{kind} drift needs a covariates-only subset")
+    subset.validate_against(dataset)
+    keys, counts = count_table(conditioning + target, select_window(dataset, window_a),
+                               select_window(dataset, window_b))
+    n_a, n_b = (int(n) for n in counts.sum(axis=1))
+    magnitude = None
+    if n_a and n_b:
+        _, m_a, m_b, d = conditional_distances(keys, counts, len(conditioning), dist)
+        if conditioning:
+            magnitude = min(1.0, float((m_a * n_b + m_b * n_a) @ d) / (2 * n_a * n_b))
+        else:
+            magnitude = float(d[0])
     return DriftMeasurement(
         measure_kind=kind,
         distance_kind=distance_kind,
         subset=subset,
         window_a=window_a,
         window_b=window_b,
-        magnitude=None,
-        sample_sizes=sizes,
-        status=STATUS_INSUFFICIENT,
+        magnitude=magnitude,
+        sample_sizes=(n_a, n_b),
+        status=STATUS_OK if magnitude is not None else STATUS_INSUFFICIENT,
     )
 
 
@@ -149,50 +201,8 @@ def marginal_drift(
     distance_kind: str = TOTAL_VARIATION,
 ) -> DriftMeasurement:
     """Distance between the two windows' marginal estimates over ``subset``."""
-    dist = distance_function(distance_kind)
-    kind = _ROLE_TO_KIND[subset.role]
-    p = estimate_distribution(select_window(dataset, window_a), subset)
-    q = estimate_distribution(select_window(dataset, window_b), subset)
-    sizes = (p.sample_size, q.sample_size)
-    if p.is_empty or q.is_empty:
-        return _insufficient(kind, distance_kind, subset, window_a, window_b, sizes)
-    return DriftMeasurement(
-        measure_kind=kind,
-        distance_kind=distance_kind,
-        subset=subset,
-        window_a=window_a,
-        window_b=window_b,
-        magnitude=dist(p, q),
-        sample_sizes=sizes,
-    )
-
-
-def _weighted_conditional_drift(
-    family_a,
-    family_b,
-    distance_kind: str,
-) -> float:
-    """Sum over the union of conditioning tuples of
-    average-weight * inner distance.
-
-    A tuple observed in only one window has an undefined conditional on the
-    other side; its inner distance is taken as 1.0 (the conditional's entire
-    mass appeared or disappeared), which keeps the measure symmetric.
-    """
-    dist = distance_function(distance_kind)
-    total = 0.0
-    for key in family_a.members.keys() | family_b.members.keys():
-        weight = 0.5 * (family_a.weight(key) + family_b.weight(key))
-        if weight == 0.0:
-            continue
-        in_a = key in family_a.members
-        in_b = key in family_b.members
-        if in_a and in_b:
-            inner = dist(family_a.members[key][1], family_b.members[key][1])
-        else:
-            inner = 1.0  # one-sided support
-        total += weight * inner
-    return total
+    return _drift(_ROLE_TO_KIND[subset.role], dataset, window_a, window_b, subset,
+                  distance_kind, (), subset.names)
 
 
 def conditioned_covariate_drift(
@@ -203,25 +213,8 @@ def conditioned_covariate_drift(
     distance_kind: str = TOTAL_VARIATION,
 ) -> DriftMeasurement:
     """Class-prevalence-weighted average of per-class covariate distances."""
-    if subset.role != COVARIATES:
-        raise MeasureError("conditioned covariate drift needs a covariates-only subset")
-    class_subset = AttributeSubset.class_only(dataset.schema.class_attribute)
-    fam_a = estimate_conditional(select_window(dataset, window_a), subset, class_subset)
-    fam_b = estimate_conditional(select_window(dataset, window_b), subset, class_subset)
-    sizes = (fam_a.sample_size, fam_b.sample_size)
-    if fam_a.is_empty or fam_b.is_empty:
-        return _insufficient(CONDITIONED_COVARIATE_DRIFT, distance_kind,
-                             subset, window_a, window_b, sizes)
-    magnitude = _weighted_conditional_drift(fam_a, fam_b, distance_kind)
-    return DriftMeasurement(
-        measure_kind=CONDITIONED_COVARIATE_DRIFT,
-        distance_kind=distance_kind,
-        subset=subset,
-        window_a=window_a,
-        window_b=window_b,
-        magnitude=magnitude,
-        sample_sizes=sizes,
-    )
+    return _drift(CONDITIONED_COVARIATE_DRIFT, dataset, window_a, window_b, subset,
+                  distance_kind, (dataset.schema.class_attribute,), subset.names)
 
 
 def posterior_drift(
@@ -232,25 +225,8 @@ def posterior_drift(
     distance_kind: str = TOTAL_VARIATION,
 ) -> DriftMeasurement:
     """Covariate-prevalence-weighted average of per-tuple class distances."""
-    if subset.role != COVARIATES:
-        raise MeasureError("posterior drift needs a covariates-only subset")
-    class_subset = AttributeSubset.class_only(dataset.schema.class_attribute)
-    fam_a = estimate_conditional(select_window(dataset, window_a), class_subset, subset)
-    fam_b = estimate_conditional(select_window(dataset, window_b), class_subset, subset)
-    sizes = (fam_a.sample_size, fam_b.sample_size)
-    if fam_a.is_empty or fam_b.is_empty:
-        return _insufficient(POSTERIOR_DRIFT, distance_kind,
-                             subset, window_a, window_b, sizes)
-    magnitude = _weighted_conditional_drift(fam_a, fam_b, distance_kind)
-    return DriftMeasurement(
-        measure_kind=POSTERIOR_DRIFT,
-        distance_kind=distance_kind,
-        subset=subset,
-        window_a=window_a,
-        window_b=window_b,
-        magnitude=magnitude,
-        sample_sizes=sizes,
-    )
+    return _drift(POSTERIOR_DRIFT, dataset, window_a, window_b, subset,
+                  distance_kind, subset.names, (dataset.schema.class_attribute,))
 
 
 def compute_drift(

@@ -177,3 +177,21 @@ def test_byte_identical_reruns(workspace, tmp_path, capsys):
     assert files1 == files2
     for name in files1:
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+@pytest.mark.parametrize("distance", ["Hellinger", "tvd", "l1"])
+def test_unknown_config_distance_fails_nonzero(workspace, capsys, distance):
+    config = CONFIG + f"analysis:\n  distance: {distance}\n"
+    (workspace / "config.yaml").write_text(config)
+    rc = run_cli(["measure", *base_args(workspace),
+                  "--window-a", "0:100", "--window-b", "100:200"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert distance in err and "total_variation" in err and "hellinger" in err
+
+
+@pytest.mark.parametrize("bins", ["0", "1"])
+def test_bins_below_two_fail_nonzero(workspace, capsys, bins):
+    rc = run_cli(["encode", *base_args(workspace), "--bins", bins])
+    assert rc == 1
+    assert "bin_count must be at least 2" in capsys.readouterr().err

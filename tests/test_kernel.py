@@ -1,0 +1,147 @@
+"""The counting kernel against the dense brute-force oracles.
+
+Property tests draw small streams through the real ingest-free pipeline
+(a discretizer fitted on separate records, then applied), so the data
+carries missing codes, categorical overflow codes, duplicate timestamps at
+window edges and windows of a single record. Window contents for the
+oracles are selected by a plain timestamp scan, independent of
+``select_window``.
+"""
+
+import dataclasses
+import math
+from collections import Counter
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from driftmap.discretize import MISSING_CODE, apply_discretizer, fit_discretizer
+from driftmap.estimate import (
+    MAX_KEY_SPACE,
+    AttributeSubset,
+    TimeInterval,
+    estimate_conditional,
+    estimate_distribution,
+    select_window,
+)
+from driftmap.measures import (
+    HELLINGER,
+    STATUS_INSUFFICIENT,
+    TOTAL_VARIATION,
+    compute_drift,
+)
+from driftmap.schema import CATEGORICAL, NUMERIC, Attribute, AttributeSchema, RawDataset
+
+from conftest import build_encoded
+import oracles
+
+TOL = 1e-9
+CATEGORIES = ("a", "b", "c", "d")
+
+
+@st.composite
+def streams(draw):
+    """(dataset, window_a, window_b, covariate subset) for one small stream."""
+    n_cov = draw(st.integers(1, 3))
+    attrs = [Attribute("x0", NUMERIC)] + [
+        Attribute(f"x{i}", CATEGORICAL) for i in range(1, n_cov)]
+    attrs.append(Attribute("label", CATEGORICAL))
+    schema = AttributeSchema(attributes=tuple(attrs), class_attribute="label")
+
+    def value(attr, fitted):
+        if attr.kind == NUMERIC:
+            return float(draw(st.integers(0, 5)))
+        # labels past the fitted ones map to the overflow code
+        return draw(st.sampled_from(CATEGORIES[:2] if fitted else CATEGORIES))
+
+    fit = [(0, tuple(value(a, True) for a in attrs))
+           for _ in range(draw(st.integers(1, 6)))]
+    discretizer = fit_discretizer(RawDataset(schema, tuple(fit)), draw(st.integers(2, 3)))
+
+    stamps = sorted(draw(st.lists(st.integers(0, 10), min_size=1, max_size=30)))
+    records = tuple(
+        (t, tuple(None if draw(st.integers(0, 5)) == 0 else value(a, False) for a in attrs))
+        for t in stamps)
+    dataset = apply_discretizer(RawDataset(schema, records), discretizer)
+
+    start, mid, end = sorted(draw(st.lists(st.integers(-1, 12), min_size=3, max_size=3,
+                                           unique=True)))
+    covariates = draw(st.permutations(schema.covariate_names))
+    subset = covariates[:draw(st.integers(1, n_cov))]
+    return dataset, TimeInterval(start, mid), TimeInterval(mid, end), subset
+
+
+def _rows(dataset, window, cols):
+    """Codes of the records in ``window`` with none of ``cols`` missing."""
+    return [row for t, row in zip(dataset.timestamps.tolist(), dataset.codes.tolist())
+            if window.start <= t < window.end
+            and all(row[c] != MISSING_CODE for c in cols)]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(streams())
+def test_five_measures_match_oracles(case):
+    dataset, window_a, window_b, names = case
+    cards = dataset.cardinalities
+    cov = dataset.column_indices(names)
+    cls = dataset.column_indices(["label"])[0]
+    subsets = {
+        "joint": (AttributeSubset.joint(names, "label"), cov + [cls]),
+        "covariate": (AttributeSubset.covariates(names), cov),
+        "class": (AttributeSubset.class_only("label"), [cls]),
+        "conditioned_covariate": (AttributeSubset.covariates(names), cov + [cls]),
+        "posterior": (AttributeSubset.covariates(names), cov + [cls]),
+    }
+    for kind, (subset, cols) in subsets.items():
+        rows_a, rows_b = _rows(dataset, window_a, cols), _rows(dataset, window_b, cols)
+        for distance in (TOTAL_VARIATION, HELLINGER):
+            m = compute_drift(dataset, window_a, window_b, kind, subset, distance)
+            assert m.sample_sizes == (len(rows_a), len(rows_b))
+            if not rows_a or not rows_b:
+                assert m.status == STATUS_INSUFFICIENT and m.magnitude is None
+                continue
+            if kind == "conditioned_covariate":
+                want = oracles.conditioned_covariate_oracle(
+                    rows_a, rows_b, cov, cls, cards, distance)
+            elif kind == "posterior":
+                want = oracles.posterior_oracle(rows_a, rows_b, cov, cls, cards, distance)
+            else:
+                want = oracles.marginal_drift_oracle(rows_a, rows_b, cols, cards, distance)
+            assert m.magnitude == pytest.approx(want, abs=TOL), (kind, distance)
+            assert 0.0 <= m.magnitude <= 1.0
+
+
+def _sparse_tvd(rows_a, rows_b):
+    ca, cb = Counter(rows_a), Counter(rows_b)
+    return 0.5 * sum(abs(ca[k] / len(rows_a) - cb[k] / len(rows_b)) for k in ca.keys() | cb.keys())
+
+
+def test_key_space_beyond_int64_falls_back_to_row_compaction():
+    # two 3^26-code attributes: mixed-radix keys would need ~2^83 values
+    big = 3 ** 26
+    rng = np.random.default_rng(7)
+    values = rng.choice([0, 1, big // 2, big - 1], size=(60, 2))
+    labels = rng.integers(0, 2, size=(60, 1))
+    ds = build_encoded(np.hstack([values, labels]), [2, 2, 2])
+    ds = dataclasses.replace(ds, cardinalities=(big, big, 2))
+    assert math.prod(ds.cardinalities) > MAX_KEY_SPACE
+
+    wa, wb = TimeInterval(0, 30), TimeInterval(30, 60)
+    rows = [tuple(r) for r in ds.codes.tolist()]
+    subset = AttributeSubset.covariates(["a0", "a1"])
+
+    est = estimate_distribution(select_window(ds, wa), subset)
+    counts = Counter(r[:2] for r in rows[:30])
+    assert est.support == {k: c / 30 for k, c in counts.items()}
+
+    fam = estimate_conditional(select_window(ds, wa), AttributeSubset.class_only("label"), subset)
+    for key, (weight, inner) in fam.members.items():
+        group = [r[2] for r in rows[:30] if r[:2] == key]
+        assert weight == len(group) / 30
+        assert inner.support == {(y,): c / len(group) for y, c in Counter(group).items()}
+    assert len(fam.members) == len(counts)
+
+    m = compute_drift(ds, wa, wb, "covariate", subset)
+    want = _sparse_tvd([r[:2] for r in rows[:30]], [r[:2] for r in rows[30:]])
+    assert m.magnitude == pytest.approx(want, abs=TOL)

@@ -270,3 +270,15 @@ class TestInvariantsAndProperties:
             r = fn(ds, b, a, subset).magnitude
             assert f == pytest.approx(r, abs=TOL)
             assert f == pytest.approx(1.0, abs=TOL)
+
+    def test_disjoint_windows_read_exactly_one(self):
+        # nine records against ten, no covariate value shared: every
+        # magnitude is full drift, and rounding must not lift it above 1
+        window_a = [[i, i % 2] for i in range(9)]
+        window_b = [[9 + i, i % 2] for i in range(10)]
+        ds = build_encoded(window_a + window_b, [19, 2])
+        a, b = TimeInterval(0, 9), TimeInterval(9, 19)
+        subset = AttributeSubset.covariates(["a0"])
+        for fn in (marginal_drift, conditioned_covariate_drift, posterior_drift):
+            assert fn(ds, a, b, subset).magnitude == 1.0
+            assert fn(ds, a, b, subset, HELLINGER).magnitude <= 1.0
