@@ -35,7 +35,9 @@ from .measures import (
     POSTERIOR_DRIFT,
     TOTAL_VARIATION,
     HELLINGER,
+    MEASUREMENT_FIELDS,
     compute_drift,
+    rows_to_csv,
 )
 from .render import PlotStyle, render_heatmap, render_lineplot
 from .schema import AttributeSchema, ingest_records, parse_schema
@@ -104,25 +106,26 @@ def _provenance_hash(payload: dict) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
-class _ArtifactWriter:
-    """Writes artifacts under the output directory; on failure every file
-    written so far is removed so no partial outputs survive."""
+def _json(doc: dict) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
-    def __init__(self, out_dir: Path):
-        self.out_dir = out_dir
-        self.written: list[Path] = []
 
-    def write(self, name: str, content: str) -> Path:
-        self.out_dir.mkdir(parents=True, exist_ok=True)
-        path = self.out_dir / name
-        path.write_text(content)
-        self.written.append(path)
-        return path
-
-    def rollback(self) -> None:
-        for path in self.written:
-            path.unlink(missing_ok=True)
-        self.written.clear()
+def _write_artifacts(out_dir, artifacts: dict[str, str]) -> list[Path]:
+    """Write each named artifact under ``out_dir``, in order. If a write
+    fails, every file written so far (a partial one too) is removed, so no
+    partial outputs survive. The directory is created only when needed."""
+    out_dir, written = Path(out_dir), []
+    try:
+        for name, content in artifacts.items():
+            out_dir.mkdir(parents=True, exist_ok=True)
+            written.append(out_dir / name)
+            written[-1].write_text(content)
+    except BaseException:
+        for path in written:
+            if path.is_file():
+                path.unlink()
+        raise
+    return written
 
 
 def _load_pipeline(args) -> tuple[dict, AttributeSchema, EncodedDataset, str]:
@@ -189,24 +192,18 @@ def _encoded_csv(encoded: EncodedDataset) -> str:
 
 def cmd_encode(args) -> list[Path]:
     config, schema, encoded, seed = _load_pipeline(args)
-    writer = _ArtifactWriter(Path(args.out))
     key = _provenance_hash({"cmd": "encode", "seed": seed})
-    try:
-        writer.write(f"encoded_{key}.csv", _encoded_csv(encoded))
-        writer.write(f"discretizer_{key}.json", encoded.discretizer.to_json() + "\n")
-        provenance = _provenance_doc(args, seed, {
+    return _write_artifacts(args.out, {
+        f"encoded_{key}.csv": _encoded_csv(encoded),
+        f"discretizer_{key}.json": encoded.discretizer.to_json() + "\n",
+        f"provenance_{key}.json": _json(_provenance_doc(args, seed, {
             "command": "encode",
             "records": len(encoded),
             "cardinalities": list(encoded.cardinalities),
             "overflow_counts": encoded.overflow_counts,
             "discretizer": f"discretizer_{key}.json",
-        })
-        writer.write(f"provenance_{key}.json",
-                     json.dumps(provenance, indent=2, sort_keys=True) + "\n")
-    except Exception:
-        writer.rollback()
-        raise
-    return writer.written
+        })),
+    })
 
 
 def cmd_measure(args) -> list[Path]:
@@ -226,33 +223,19 @@ def cmd_measure(args) -> list[Path]:
         "windows": [window_a.start, window_a.end, window_b.start, window_b.end],
         "measures": sorted(measure_args),
     })
-    writer = _ArtifactWriter(Path(args.out))
-    try:
-        rows = [m.to_row() for m in results]
-        fields = list(rows[0].keys())
-        out = io.StringIO()
-        w = csv.DictWriter(out, fieldnames=fields, lineterminator="\n")
-        w.writeheader()
-        for row in rows:
-            if row["magnitude"] is not None:
-                row = dict(row, magnitude=repr(row["magnitude"]))
-            w.writerow(row)
-        if "csv" in args.formats:
-            writer.write(f"measure_{key}.csv", out.getvalue())
-        if "json" in args.formats:
-            doc = {
-                "provenance": _provenance_doc(args, seed, {
-                    "command": "measure", "distance": distance,
-                    "one_sided_conditionals": "inner distance fixed at 1.0",
-                }),
-                "measurements": rows,
-            }
-            writer.write(f"measure_{key}.json",
-                         json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    except Exception:
-        writer.rollback()
-        raise
-    return writer.written
+    rows = [m.to_row() for m in results]
+    artifacts = {}
+    if "csv" in args.formats:
+        artifacts[f"measure_{key}.csv"] = rows_to_csv(rows, MEASUREMENT_FIELDS)
+    if "json" in args.formats:
+        artifacts[f"measure_{key}.json"] = _json({
+            "provenance": _provenance_doc(args, seed, {
+                "command": "measure", "distance": distance,
+                "one_sided_conditionals": "inner distance fixed at 1.0",
+            }),
+            "measurements": rows,
+        })
+    return _write_artifacts(args.out, artifacts)
 
 
 def cmd_series(args) -> list[Path]:
@@ -275,31 +258,25 @@ def cmd_series(args) -> list[Path]:
         "step": step, "span": span, "alignment": alignment,
         "measures": sorted(measure_args),
     })
-    writer = _ArtifactWriter(Path(args.out))
-    try:
-        if "csv" in args.formats:
-            writer.write(f"series_{key}.csv", series.to_csv())
-        if "json" in args.formats:
-            doc = {
-                "provenance": _provenance_doc(args, seed, {
-                    "command": "series", "distance": distance,
-                    "step": step, "span": span, "alignment": alignment,
-                }),
-                "status": series.status,
-                "statistics": series_statistics(series) if len(series) else {},
-                "points": series.to_rows(),
-            }
-            writer.write(f"series_{key}.json",
-                         json.dumps(doc, indent=2, sort_keys=True) + "\n")
-        if "svg" in args.formats and len(series):
-            markers = tuple(int(m) for m in (args.marker or ()))
-            style = PlotStyle(vertical_markers=markers,
-                              x_label="time (ticks)", y_label="drift magnitude")
-            writer.write(f"series_{key}.svg", render_lineplot(series, style))
-    except Exception:
-        writer.rollback()
-        raise
-    return writer.written
+    artifacts = {}
+    if "csv" in args.formats:
+        artifacts[f"series_{key}.csv"] = series.to_csv()
+    if "json" in args.formats:
+        artifacts[f"series_{key}.json"] = _json({
+            "provenance": _provenance_doc(args, seed, {
+                "command": "series", "distance": distance,
+                "step": step, "span": span, "alignment": alignment,
+            }),
+            "status": series.status,
+            "statistics": series_statistics(series) if len(series) else {},
+            "points": series.to_rows(),
+        })
+    if "svg" in args.formats and len(series):
+        markers = tuple(int(m) for m in (args.marker or ()))
+        style = PlotStyle(vertical_markers=markers,
+                          x_label="time (ticks)", y_label="drift magnitude")
+        artifacts[f"series_{key}.svg"] = render_lineplot(series, style)
+    return _write_artifacts(args.out, artifacts)
 
 
 def cmd_map(args) -> list[Path]:
@@ -330,26 +307,21 @@ def cmd_map(args) -> list[Path]:
         "subset": list(attributes or ()),
         "classes_on_map": bool(args.classes_on_map),
     })
-    writer = _ArtifactWriter(Path(args.out))
-    try:
-        for idx, grid in enumerate(grids):
-            suffix = f"_{grid.class_label}" if grid.class_label else ""
-            stem = f"map_{args.kind}_{key}{suffix}"
-            if "csv" in args.formats:
-                writer.write(stem + ".csv", grid.to_csv())
-            if "json" in args.formats:
-                doc = json.loads(grid.to_json())
-                doc["provenance"] = _provenance_doc(args, seed, {
-                    "command": "map", "kind": args.kind, "distance": distance,
-                })
-                writer.write(stem + ".json",
-                             json.dumps(doc, indent=2, sort_keys=True) + "\n")
-            if "svg" in args.formats:
-                writer.write(stem + ".svg", render_heatmap(grid))
-    except Exception:
-        writer.rollback()
-        raise
-    return writer.written
+    artifacts = {}
+    for grid in grids:
+        suffix = f"_{grid.class_label}" if grid.class_label else ""
+        stem = f"map_{args.kind}_{key}{suffix}"
+        if "csv" in args.formats:
+            artifacts[stem + ".csv"] = grid.to_csv()
+        if "json" in args.formats:
+            doc = json.loads(grid.to_json())
+            doc["provenance"] = _provenance_doc(args, seed, {
+                "command": "map", "kind": args.kind, "distance": distance,
+            })
+            artifacts[stem + ".json"] = _json(doc)
+        if "svg" in args.formats:
+            artifacts[stem + ".svg"] = render_heatmap(grid)
+    return _write_artifacts(args.out, artifacts)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -3,14 +3,13 @@
 For a fixed window pair: pairwise joint drift (diagonal = univariate),
 per-class conditioned covariate drift (univariate and pairwise), and
 posterior drift conditioned on attribute pairs. Pairwise grids are
-symmetric and obey the dimensionality monotonicity bound: an off-diagonal
-cell is never below either of its diagonal cells (within tolerance).
+symmetric; all but the posterior ones obey the dimensionality monotonicity
+bound: an off-diagonal cell is never below either of its diagonal cells
+(within tolerance).
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from dataclasses import dataclass, field
 
@@ -25,6 +24,7 @@ from .measures import (
     distance_function,
     marginal_drift,
     posterior_drift,
+    rows_to_csv,
 )
 
 PAIRWISE_JOINT = "pairwise_joint"
@@ -59,9 +59,9 @@ class HeatMapGrid:
     def is_pairwise(self) -> bool:
         return self.map_kind in (PAIRWISE_JOINT, CONDITIONED_PAIRWISE, POSTERIOR_PAIRWISE)
 
-    def validate(self, monotone: bool = True) -> None:
-        """Assert symmetry and (for joint/conditioned grids) the diagonal
-        monotonicity bound. Called by every builder."""
+    def validate(self) -> None:
+        """Assert symmetry and, for every pairwise kind but the posterior one,
+        the diagonal monotonicity bound. Called by every builder."""
         if not self.is_pairwise:
             return
         n = len(self.row_labels)
@@ -71,8 +71,8 @@ class HeatMapGrid:
             for j in range(i + 1, n):
                 if self.values[i][j] != self.values[j][i]:
                     raise GridError(f"asymmetric cells at ({i},{j})")
-        if not monotone:
-            return
+        if self.map_kind == POSTERIOR_PAIRWISE:
+            return  # conditioning, not conditioned, dimensionality grows
         for i in range(n):
             for j in range(n):
                 v = self.values[i][j]
@@ -99,16 +99,7 @@ class HeatMapGrid:
         return rows
 
     def to_csv(self) -> str:
-        out = io.StringIO()
-        writer = csv.DictWriter(
-            out, fieldnames=["row", "column", "class", "magnitude", "status"],
-            lineterminator="\n")
-        writer.writeheader()
-        for row in self.to_rows():
-            if row["magnitude"] is not None:
-                row = dict(row, magnitude=repr(row["magnitude"]))
-            writer.writerow(row)
-        return out.getvalue()
+        return rows_to_csv(self.to_rows(), ("row", "column", "class", "magnitude", "status"))
 
     def to_json(self) -> str:
         return json.dumps({
@@ -123,6 +114,33 @@ class HeatMapGrid:
 
 def _pair_subset(a: str, b: str) -> tuple[str, ...]:
     return (a,) if a == b else (a, b)
+
+
+def _pairwise_cells(attributes: tuple[str, ...], cell_fn) -> list[list]:
+    """The symmetric grid of ``cell_fn(names)`` over every attribute pair
+    i <= j, where ``names`` is the pair (one name on the diagonal)."""
+    n = len(attributes)
+    cells: list[list] = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            cells[i][j] = cells[j][i] = cell_fn(_pair_subset(attributes[i], attributes[j]))
+    return cells
+
+
+def _grid(map_kind, rows, cols, cells, window_a, window_b, distance_kind,
+          class_label=None) -> HeatMapGrid:
+    grid = HeatMapGrid(
+        map_kind=map_kind,
+        row_labels=rows,
+        col_labels=cols,
+        values=tuple(tuple(r) for r in cells),
+        window_a=window_a,
+        window_b=window_b,
+        distance_kind=distance_kind,
+        class_label=class_label,
+    )
+    grid.validate()
+    return grid
 
 
 def pairwise_joint_map(
@@ -147,30 +165,18 @@ def pairwise_joint_map(
         raise GridError("pairwise map needs at least one attribute")
     class_name = dataset.schema.class_attribute
 
-    n = len(attributes)
-    cells: list[list[float | None]] = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            names = _pair_subset(attributes[i], attributes[j])
-            if class_name in names:
-                role_names = tuple(x for x in names if x != class_name)
-                subset = (AttributeSubset.class_only(class_name) if not role_names
-                          else AttributeSubset.joint(role_names, class_name))
-            else:
-                subset = AttributeSubset.covariates(names)
-            m = marginal_drift(dataset, window_a, window_b, subset, distance_kind)
-            cells[i][j] = cells[j][i] = m.magnitude
-    grid = HeatMapGrid(
-        map_kind=PAIRWISE_JOINT,
-        row_labels=attributes,
-        col_labels=attributes,
-        values=tuple(tuple(r) for r in cells),
-        window_a=window_a,
-        window_b=window_b,
-        distance_kind=distance_kind,
-    )
-    grid.validate()
-    return grid
+    def cell(names):
+        role_names = tuple(x for x in names if x != class_name)
+        if role_names == names:
+            subset = AttributeSubset.covariates(names)
+        elif role_names:
+            subset = AttributeSubset.joint(role_names, class_name)
+        else:
+            subset = AttributeSubset.class_only(class_name)
+        return marginal_drift(dataset, window_a, window_b, subset, distance_kind).magnitude
+
+    return _grid(PAIRWISE_JOINT, attributes, attributes, _pairwise_cells(attributes, cell),
+                 window_a, window_b, distance_kind)
 
 
 def _class_labels(dataset: EncodedDataset) -> tuple[str, ...]:
@@ -207,21 +213,10 @@ def conditioned_univariate_map(
     conditioned covariate drift.
     """
     attributes = tuple(attributes) if attributes else dataset.schema.covariate_names
-    cells = tuple(
-        tuple(_per_class_distances(dataset, window_a, window_b, (attr,), distance_kind))
-        for attr in attributes
-    )
-    grid = HeatMapGrid(
-        map_kind=CONDITIONED_UNIVARIATE,
-        row_labels=attributes,
-        col_labels=_class_labels(dataset),
-        values=cells,
-        window_a=window_a,
-        window_b=window_b,
-        distance_kind=distance_kind,
-    )
-    grid.validate()
-    return grid
+    cells = [_per_class_distances(dataset, window_a, window_b, (attr,), distance_kind)
+             for attr in attributes]
+    return _grid(CONDITIONED_UNIVARIATE, attributes, _class_labels(dataset), cells,
+                 window_a, window_b, distance_kind)
 
 
 def conditioned_pairwise_map(
@@ -233,28 +228,12 @@ def conditioned_pairwise_map(
 ) -> list[HeatMapGrid]:
     """One attribute-pair grid per class; cells are unweighted inner distances."""
     attributes = tuple(attributes) if attributes else dataset.schema.covariate_names
-    n = len(attributes)
-    per_pair = {
-        (i, j): _per_class_distances(dataset, window_a, window_b,
-                                     _pair_subset(attributes[i], attributes[j]), distance_kind)
-        for i in range(n) for j in range(i, n)
-    }
-    grids = []
-    for code, label in enumerate(_class_labels(dataset)):
-        cells = [[per_pair[min(i, j), max(i, j)][code] for j in range(n)] for i in range(n)]
-        grid = HeatMapGrid(
-            map_kind=CONDITIONED_PAIRWISE,
-            row_labels=attributes,
-            col_labels=attributes,
-            values=tuple(tuple(r) for r in cells),
-            window_a=window_a,
-            window_b=window_b,
-            distance_kind=distance_kind,
-            class_label=label,
-        )
-        grid.validate()
-        grids.append(grid)
-    return grids
+    per_class = _pairwise_cells(attributes, lambda names: _per_class_distances(
+        dataset, window_a, window_b, names, distance_kind))
+    return [_grid(CONDITIONED_PAIRWISE, attributes, attributes,
+                  [[cell[code] for cell in row] for row in per_class],
+                  window_a, window_b, distance_kind, class_label=label)
+            for code, label in enumerate(_class_labels(dataset))]
 
 
 def posterior_pairwise_map(
@@ -270,21 +249,10 @@ def posterior_pairwise_map(
     conditioned, dimensionality grows), so no monotonicity bound applies.
     """
     attributes = tuple(attributes) if attributes else dataset.schema.covariate_names
-    n = len(attributes)
-    cells: list[list[float | None]] = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            subset = AttributeSubset.covariates(_pair_subset(attributes[i], attributes[j]))
-            m = posterior_drift(dataset, window_a, window_b, subset, distance_kind)
-            cells[i][j] = cells[j][i] = m.magnitude
-    grid = HeatMapGrid(
-        map_kind=POSTERIOR_PAIRWISE,
-        row_labels=attributes,
-        col_labels=attributes,
-        values=tuple(tuple(r) for r in cells),
-        window_a=window_a,
-        window_b=window_b,
-        distance_kind=distance_kind,
-    )
-    grid.validate(monotone=False)
-    return grid
+
+    def cell(names):
+        subset = AttributeSubset.covariates(names)
+        return posterior_drift(dataset, window_a, window_b, subset, distance_kind).magnitude
+
+    return _grid(POSTERIOR_PAIRWISE, attributes, attributes, _pairwise_cells(attributes, cell),
+                 window_a, window_b, distance_kind)

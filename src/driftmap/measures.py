@@ -9,6 +9,8 @@ tuple probability). Every measure is a reduction of one ``count_table``.
 
 from __future__ import annotations
 
+import csv
+import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +45,14 @@ class MeasureError(ValueError):
     pass
 
 
+# the columns of DriftMeasurement.to_row, in order
+MEASUREMENT_FIELDS = (
+    "measure_kind", "distance_kind", "subset",
+    "window_a_start", "window_a_end", "window_b_start", "window_b_end",
+    "magnitude", "sample_size_a", "sample_size_b", "status",
+)
+
+
 @dataclass(frozen=True)
 class DriftMeasurement:
     """One drift magnitude with its provenance.
@@ -65,19 +75,25 @@ class DriftMeasurement:
         return self.status == STATUS_OK
 
     def to_row(self) -> dict:
-        return {
-            "measure_kind": self.measure_kind,
-            "distance_kind": self.distance_kind,
-            "subset": "|".join(self.subset.names),
-            "window_a_start": self.window_a.start,
-            "window_a_end": self.window_a.end,
-            "window_b_start": self.window_b.start,
-            "window_b_end": self.window_b.end,
-            "magnitude": self.magnitude,
-            "sample_size_a": self.sample_sizes[0],
-            "sample_size_b": self.sample_sizes[1],
-            "status": self.status,
-        }
+        """The measurement as one flat row, keyed in ``MEASUREMENT_FIELDS`` order."""
+        return dict(zip(MEASUREMENT_FIELDS, (
+            self.measure_kind, self.distance_kind, "|".join(self.subset.names),
+            self.window_a.start, self.window_a.end, self.window_b.start, self.window_b.end,
+            self.magnitude, *self.sample_sizes, self.status,
+        )))
+
+
+def rows_to_csv(rows, fields) -> str:
+    """CSV text of dict rows in ``fields`` order. A magnitude is written as
+    its repr, so it reads back as the same float; None becomes an empty cell."""
+    out = io.StringIO()
+    writer = csv.DictWriter(out, fieldnames=fields, lineterminator="\n")
+    writer.writeheader()
+    for row in rows:
+        if row["magnitude"] is not None:
+            row = dict(row, magnitude=repr(row["magnitude"]))
+        writer.writerow(row)
+    return out.getvalue()
 
 
 def _grouped_tvd(a, b, ra, rb, starts) -> np.ndarray:

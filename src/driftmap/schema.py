@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass, field
+from decimal import Decimal, InvalidOperation
 
 import yaml
 
@@ -162,12 +164,15 @@ def _parse_cell(raw: str, attr: Attribute, row_number: int):
         return None
     if attr.kind == NUMERIC:
         try:
-            return float(value)
+            number = float(value)
         except ValueError:
+            number = math.nan
+        if not math.isfinite(number):  # nan/inf would land in a bin silently
             raise IngestError(
-                f"row {row_number}: cannot parse {value!r} as numeric "
+                f"row {row_number}: cannot parse {value!r} as a finite number "
                 f"for attribute {attr.name!r}"
-            ) from None
+            )
+        return number
     # ARFF convention: strip optional quoting on nominal values
     if len(value) >= 2 and value[0] == value[-1] and value[0] in "'\"":
         value = value[1:-1]
@@ -175,11 +180,15 @@ def _parse_cell(raw: str, attr: Attribute, row_number: int):
 
 
 def _parse_timestamp(raw: str, row_number: int) -> int:
+    """An integer tick, parsed exactly; integral decimals such as "5.0" pass."""
     value = raw.strip()
     try:
-        return int(float(value))
-    except ValueError:
-        raise IngestError(f"row {row_number}: unparseable timestamp {value!r}") from None
+        tick = Decimal(value)
+    except InvalidOperation:
+        tick = Decimal("NaN")
+    if not tick.is_finite() or tick != tick.to_integral_value() or abs(tick) >= 2**63:
+        raise IngestError(f"row {row_number}: timestamp {value!r} is not an int64 tick")
+    return int(tick)
 
 
 def _rows_from_csv(text: str, delimiter: str) -> tuple[list[str], list[list[str]]]:

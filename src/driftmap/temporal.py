@@ -10,19 +10,19 @@ span against the span ending at t, i.e. [t - 2*span, t - span) against
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from dataclasses import dataclass, field
 
 from .discretize import EncodedDataset
 from .estimate import AttributeSubset, TimeInterval
 from .measures import (
+    MEASUREMENT_FIELDS,
     STATUS_INSUFFICIENT,
     STATUS_OK,
     TOTAL_VARIATION,
     DriftMeasurement,
     compute_drift,
+    rows_to_csv,
 )
 
 ADJACENT = "adjacent-before-after"
@@ -100,18 +100,7 @@ class DriftSeries:
         return rows
 
     def to_csv(self) -> str:
-        rows = self.to_rows()
-        fields = ["time", "measure_kind", "distance_kind", "subset",
-                  "window_a_start", "window_a_end", "window_b_start", "window_b_end",
-                  "magnitude", "sample_size_a", "sample_size_b", "status"]
-        out = io.StringIO()
-        writer = csv.DictWriter(out, fieldnames=fields, lineterminator="\n")
-        writer.writeheader()
-        for row in rows:
-            if row["magnitude"] is not None:
-                row = dict(row, magnitude=repr(row["magnitude"]))
-            writer.writerow(row)
-        return out.getvalue()
+        return rows_to_csv(self.to_rows(), ("time",) + MEASUREMENT_FIELDS)
 
     def to_json(self) -> str:
         return json.dumps({"status": self.status, "points": self.to_rows()},

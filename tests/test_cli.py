@@ -195,3 +195,47 @@ def test_bins_below_two_fail_nonzero(workspace, capsys, bins):
     rc = run_cli(["encode", *base_args(workspace), "--bins", bins])
     assert rc == 1
     assert "bin_count must be at least 2" in capsys.readouterr().err
+
+
+def test_non_finite_numeric_cell_fails_nonzero(workspace, capsys):
+    data = workspace / "data.csv"
+    lines = data.read_text().splitlines()
+    lines[3] = "nan," + lines[3].split(",", 1)[1]
+    data.write_text("\n".join(lines) + "\n")
+    rc = run_cli(["encode", *base_args(workspace)])
+    assert rc == 1
+    assert "row 3" in capsys.readouterr().err
+    assert not (workspace / "out").exists()
+
+
+def test_failed_render_leaves_no_outputs(workspace, capsys, monkeypatch):
+    def broken_render(grid):
+        raise RuntimeError("render failed")
+
+    monkeypatch.setattr("driftmap.cli.render_heatmap", broken_render)
+    rc = run_cli(["map", *base_args(workspace), "--kind", "pairwise-joint",
+                  "--window-a", "0:200", "--window-b", "200:400",
+                  "--format-out", "csv,json,svg"])
+    assert rc == 1
+    assert "render failed" in capsys.readouterr().err
+    out_dir = workspace / "out"
+    assert not out_dir.exists() or not list(out_dir.iterdir())
+
+
+def test_failed_second_write_removes_the_first(workspace, capsys, monkeypatch):
+    write_text = Path.write_text
+    calls = []
+
+    def failing_write(path, content, *args, **kwargs):
+        calls.append(path)
+        if len(calls) == 2:
+            write_text(path, content[:10], *args, **kwargs)  # a partial file
+            raise OSError("disk full")
+        return write_text(path, content, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", failing_write)
+    rc = run_cli(["encode", *base_args(workspace)])
+    assert rc == 1
+    assert "disk full" in capsys.readouterr().err
+    assert len(calls) == 2
+    assert not list((workspace / "out").iterdir())

@@ -241,3 +241,22 @@ def test_grid_serialization():
     doc = json.loads(grid.to_json())
     assert doc["map_kind"] == "pairwise_joint"
     assert len(doc["cells"]) == 1
+
+
+@pytest.mark.parametrize("map_kind, enforced", [
+    ("pairwise_joint", True),
+    ("conditioned_pairwise", True),
+    ("posterior_pairwise", False),
+])
+def test_monotonicity_is_enforced_by_map_kind(map_kind, enforced):
+    grid = HeatMapGrid(
+        map_kind=map_kind,
+        row_labels=("a", "b"), col_labels=("a", "b"),
+        values=((0.5, 0.2), (0.2, 0.1)),  # off-diagonal below the 0.5 diagonal
+        window_a=TimeInterval(0, 1), window_b=TimeInterval(1, 2),
+    )
+    if enforced:
+        with pytest.raises(GridError, match="monotonicity"):
+            grid.validate()
+    else:
+        grid.validate()

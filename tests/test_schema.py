@@ -196,3 +196,39 @@ def test_no_silent_drops(tiny_schema):
     rows = "\n".join(f"{i}.0,a" for i in range(57))
     ds = ingest_records("x,y\n" + rows + "\n", "csv", tiny_schema)
     assert len(ds) == 57
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN", "Infinity"])
+def test_csv_non_finite_numeric_cell_names_row_and_column(tiny_schema, cell):
+    data = f"x,y\n1.5,a\n{cell},b\n"
+    with pytest.raises(IngestError, match=r"row 2.*'x'"):
+        ingest_records(data, "csv", tiny_schema)
+
+
+def _ingest_timestamps(*ticks):
+    schema = parse_schema({
+        "attributes": [{"name": "y", "kind": "categorical"}],
+        "class": "y",
+        "timestamp": {"source": "t"},
+    })
+    data = "t,y\n" + "".join(f"{t},a\n" for t in ticks)
+    return [ts for ts, _ in ingest_records(data, "csv", schema).records]
+
+
+def test_fractional_timestamp_is_rejected():
+    with pytest.raises(IngestError, match=r"row 2.*'1\.9'"):
+        _ingest_timestamps("1", "1.9")
+
+
+def test_large_integer_timestamp_is_exact():
+    assert _ingest_timestamps("9007199254740993") == [2**53 + 1]
+
+
+@pytest.mark.parametrize("tick", ["inf", "-inf", "nan", "1e30"])
+def test_non_finite_or_out_of_range_timestamp_is_an_ingest_error(tick):
+    with pytest.raises(IngestError, match="row 1"):
+        _ingest_timestamps(tick)
+
+
+def test_integral_decimal_timestamp_is_accepted():
+    assert _ingest_timestamps("5.0", "2", "1e1") == [2, 5, 10]
