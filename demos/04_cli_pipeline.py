@@ -3,9 +3,10 @@
 Writes a config + CSV, then drives the four subcommands exactly as a
 shell user would: encode, measure, series, map. Every artifact filename
 embeds a provenance hash, so rerunning this script reproduces the same
-bytes.
+bytes. The script stops with a command's exit code as soon as one fails.
 """
 
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -47,19 +48,26 @@ analysis:
 
 base = ["--config", str(config), "--data", str(data), "--out", str(OUT)]
 
+
+def run(argv):
+    code = run_cli(argv)
+    if code != 0:
+        sys.exit(code)
+
+
 print("== encode ==")
-run_cli(["encode", *base])
+run(["encode", *base])
 
 print("\n== measure: first half vs second half ==")
-run_cli(["measure", *base, "--window-a", "0:600", "--window-b", "600:1200"])
+run(["measure", *base, "--window-a", "0:600", "--window-b", "600:1200"])
 
 print("\n== series: daily step, 5-day span, with SVG ==")
-run_cli(["series", *base, "--step", "1d", "--span", "5d",
-         "--measure", "covariate", "--measure", "class",
-         "--measure", "posterior",
-         "--format-out", "csv,json,svg"])
+run(["series", *base, "--step", "1d", "--span", "5d",
+     "--measure", "covariate", "--measure", "class",
+     "--measure", "posterior",
+     "--format-out", "csv,json,svg"])
 
 print("\n== map: pairwise joint with the class on the grid ==")
-run_cli(["map", *base, "--kind", "pairwise-joint", "--classes-on-map",
-         "--window-a", "0:600", "--window-b", "600:1200",
-         "--format-out", "csv,json,svg"])
+run(["map", *base, "--kind", "pairwise-joint", "--classes-on-map",
+     "--window-a", "0:600", "--window-b", "600:1200",
+     "--format-out", "csv,json,svg"])

@@ -40,7 +40,7 @@ from .measures import (
     rows_to_csv,
 )
 from .render import PlotStyle, render_heatmap, render_lineplot
-from .schema import AttributeSchema, ingest_records, parse_schema
+from .schema import AttributeSchema, check_keys, ingest_records, parse_schema
 from .temporal import ADJACENT, CONSECUTIVE, MeasureSpec, SweepSpec, drift_series
 from .temporal import series_statistics
 
@@ -50,6 +50,11 @@ _MAP_KINDS = {
     "conditioned-pairwise": maps_mod.CONDITIONED_PAIRWISE,
     "posterior-pairwise": maps_mod.POSTERIOR_PAIRWISE,
 }
+
+
+# keys of the config sections read here; parse_schema checks the rest
+ANALYSIS_KEYS = ("distance", "step", "span", "alignment", "measures")
+DISCRETIZATION_KEYS = ("bins",)
 
 
 class CliError(ValueError):
@@ -129,12 +134,15 @@ def _write_artifacts(out_dir, artifacts: dict[str, str]) -> list[Path]:
 
 
 def _load_pipeline(args) -> tuple[dict, AttributeSchema, EncodedDataset, str]:
-    """Config + data -> encoded dataset, returning the provenance seed."""
+    """Config + data -> (analysis section, schema, encoded dataset, provenance seed)."""
     config_text = Path(args.config).read_text()
     import yaml
 
     config = yaml.safe_load(config_text)
     schema = parse_schema(config)
+    analysis = check_keys(config.get("analysis"), ANALYSIS_KEYS, "analysis")
+    discretization = check_keys(config.get("discretization"), DISCRETIZATION_KEYS,
+                                "discretization")
 
     data_path = Path(args.data)
     data_bytes = data_path.read_bytes()
@@ -143,7 +151,7 @@ def _load_pipeline(args) -> tuple[dict, AttributeSchema, EncodedDataset, str]:
 
     bins = args.bins
     if bins is None:
-        bins = (config.get("discretization") or {}).get("bins")
+        bins = discretization.get("bins")
     if bins is None:
         bins = DEFAULT_BIN_COUNT
     if getattr(args, "discretizer", None):
@@ -158,7 +166,7 @@ def _load_pipeline(args) -> tuple[dict, AttributeSchema, EncodedDataset, str]:
         "bins": bins,
         "format": fmt,
     })
-    return config, schema, encoded, seed
+    return analysis, schema, encoded, seed
 
 
 def _provenance_doc(args, seed: str, extra: dict) -> dict:
@@ -171,10 +179,10 @@ def _provenance_doc(args, seed: str, extra: dict) -> dict:
     return doc
 
 
-def _distance(args, config) -> str:
+def _distance(args, analysis: dict) -> str:
     if args.distance:
         return {"tvd": TOTAL_VARIATION, "hellinger": HELLINGER}[args.distance]
-    configured = (config.get("analysis") or {}).get("distance", TOTAL_VARIATION)
+    configured = analysis.get("distance", TOTAL_VARIATION)
     if configured not in (TOTAL_VARIATION, HELLINGER):
         raise CliError(f"unknown analysis.distance {configured!r}; "
                        f"expected {TOTAL_VARIATION!r} or {HELLINGER!r}")
@@ -185,13 +193,12 @@ def _encoded_csv(encoded: EncodedDataset) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(("timestamp",) + encoded.attribute_names)
-    for ts, row in zip(encoded.timestamps.tolist(), encoded.codes.tolist()):
-        writer.writerow([ts] + row)
+    writer.writerows(zip(encoded.timestamps.tolist(), *encoded.codes.T.tolist()))
     return out.getvalue()
 
 
 def cmd_encode(args) -> list[Path]:
-    config, schema, encoded, seed = _load_pipeline(args)
+    _, schema, encoded, seed = _load_pipeline(args)
     key = _provenance_hash({"cmd": "encode", "seed": seed})
     return _write_artifacts(args.out, {
         f"encoded_{key}.csv": _encoded_csv(encoded),
@@ -207,10 +214,10 @@ def cmd_encode(args) -> list[Path]:
 
 
 def cmd_measure(args) -> list[Path]:
-    config, schema, encoded, seed = _load_pipeline(args)
+    analysis, schema, encoded, seed = _load_pipeline(args)
     window_a = _parse_interval(args.window_a)
     window_b = _parse_interval(args.window_b)
-    distance = _distance(args, config)
+    distance = _distance(args, analysis)
     measure_args = args.measure or ["joint", "covariate", "class",
                                     "conditioned_covariate", "posterior"]
     results = []
@@ -239,9 +246,8 @@ def cmd_measure(args) -> list[Path]:
 
 
 def cmd_series(args) -> list[Path]:
-    config, schema, encoded, seed = _load_pipeline(args)
-    analysis = config.get("analysis") or {}
-    distance = _distance(args, config)
+    analysis, schema, encoded, seed = _load_pipeline(args)
+    distance = _distance(args, analysis)
     step = _parse_span(args.step or analysis.get("step", 1), schema)
     span = _parse_span(args.span or analysis.get("span", 1), schema)
     alignment = args.alignment or analysis.get("alignment", ADJACENT)
@@ -280,10 +286,10 @@ def cmd_series(args) -> list[Path]:
 
 
 def cmd_map(args) -> list[Path]:
-    config, schema, encoded, seed = _load_pipeline(args)
+    analysis, schema, encoded, seed = _load_pipeline(args)
     window_a = _parse_interval(args.window_a)
     window_b = _parse_interval(args.window_b)
-    distance = _distance(args, config)
+    distance = _distance(args, analysis)
     attributes = tuple(a.strip() for a in args.subset.split(",")) if args.subset else None
 
     kind = _MAP_KINDS[args.kind]

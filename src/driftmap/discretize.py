@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .schema import CATEGORICAL, NUMERIC, AttributeSchema, RawDataset
+from .schema import NUMERIC, AttributeSchema, RawDataset, factorize, read_only
 
 MISSING_CODE = -1
 
@@ -86,7 +86,9 @@ class EncodedDataset:
     """Fully integer-coded dataset, record order identical to the raw input.
 
     ``codes`` is an (n_records, n_attributes) int array with ``MISSING_CODE``
-    marking missing cells; ``timestamps`` is sorted non-decreasing.
+    marking missing cells; ``timestamps`` is sorted non-decreasing. Both are
+    read-only; :func:`apply_discretizer` shares ``timestamps`` with the
+    :class:`RawDataset` it encodes.
     """
 
     schema: AttributeSchema
@@ -95,6 +97,10 @@ class EncodedDataset:
     codes: np.ndarray = field(repr=False)
     cardinalities: tuple[int, ...]
     overflow_counts: dict[str, int]
+
+    def __post_init__(self):
+        object.__setattr__(self, "timestamps", read_only(self.timestamps))
+        object.__setattr__(self, "codes", read_only(self.codes))
 
     def __len__(self) -> int:
         return len(self.timestamps)
@@ -150,17 +156,19 @@ def fit_discretizer(dataset: RawDataset, bin_count: int = DEFAULT_BIN_COUNT) -> 
 
     cut_points: dict[str, tuple[float, ...]] = {}
     label_codes: dict[str, dict[str, int]] = {}
-    for attr in dataset.schema.attributes:
-        observed = [v for v in dataset.column(attr.name) if v is not None]
-        if not observed:
+    for attr, column in zip(dataset.schema.attributes, dataset.columns):
+        if attr.kind == NUMERIC:
+            observed = column[~np.isnan(column)]
+        else:
+            observed = [v for v in dict.fromkeys(column.tolist()) if v is not None]
+        if not len(observed):
             raise DiscretizationError(f"attribute {attr.name!r} has no non-missing values")
         if attr.kind == NUMERIC:
-            cut_points[attr.name] = _equal_frequency_cuts(np.asarray(observed, float), bin_count)
+            cut_points[attr.name] = _equal_frequency_cuts(observed, bin_count)
         else:
-            labels = list(attr.declared_domain) if attr.declared_domain else []
-            for v in observed:
-                if v not in labels:
-                    labels.append(v)
+            # declared labels first, then unseen observed ones in first-seen order
+            declared = list(attr.declared_domain or ())
+            labels = declared + [v for v in observed if v not in declared]
             label_codes[attr.name] = {label: code for code, label in enumerate(labels)}
     return Discretizer(
         schema=dataset.schema,
@@ -177,42 +185,33 @@ def apply_discretizer(dataset: RawDataset, discretizer: Discretizer) -> EncodedD
     ``overflow_counts`` rather than raising.
     """
     names = dataset.schema.attribute_names
-    n = len(dataset)
-    codes = np.full((n, len(names)), MISSING_CODE, dtype=np.int64)
-    timestamps = np.empty(n, dtype=np.int64)
+    codes = np.full((len(dataset), len(names)), MISSING_CODE, dtype=np.int64)
     overflow_counts = {name: 0 for name in discretizer.label_codes}
 
-    for j, name in enumerate(names):
-        attr = dataset.schema.attribute(name)
-        column = dataset.column(name)
+    for j, (attr, column) in enumerate(zip(dataset.schema.attributes, dataset.columns)):
         if attr.kind == NUMERIC:
-            cuts = np.asarray(discretizer.cut_points[name], float)
-            present = np.array([v is not None for v in column])
-            if present.any():
-                vals = np.asarray([v for v in column if v is not None], float)
-                codes[present, j] = np.searchsorted(cuts, vals, side="left")
+            present = ~np.isnan(column)
+            cuts = np.asarray(discretizer.cut_points[attr.name], float)
+            codes[present, j] = np.searchsorted(cuts, column[present], side="left")
         else:
-            table = discretizer.label_codes[name]
-            overflow = discretizer.overflow_code(name)
-            for i, v in enumerate(column):
-                if v is None:
-                    continue
-                code = table.get(str(v), overflow)
-                if code == overflow:
-                    overflow_counts[name] += 1
-                codes[i, j] = code
+            # one lookup per distinct label, spread back over the records
+            table = discretizer.label_codes[attr.name]
+            overflow = discretizer.overflow_code(attr.name)
+            distinct, inverse = factorize(column.tolist())
+            lookup = np.array([MISSING_CODE if v is None else table.get(str(v), overflow)
+                               for v in distinct], dtype=np.int64)
+            codes[:, j] = lookup[inverse]
+            overflow_counts[attr.name] = int(np.count_nonzero(codes[:, j] == overflow))
 
     seen_overflow = {k for k, c in overflow_counts.items() if c > 0}
     cardinalities = tuple(
         discretizer.domain_size(name) + (1 if name in seen_overflow else 0)
         for name in names
     )
-    for i, (ts, _) in enumerate(dataset.records):
-        timestamps[i] = ts
     return EncodedDataset(
         schema=dataset.schema,
         discretizer=discretizer,
-        timestamps=timestamps,
+        timestamps=dataset.timestamps,
         codes=codes,
         cardinalities=cardinalities,
         overflow_counts=overflow_counts,

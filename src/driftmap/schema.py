@@ -13,7 +13,9 @@ import io
 import math
 from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
+from operator import itemgetter
 
+import numpy as np
 import yaml
 
 CATEGORICAL = "categorical"
@@ -21,6 +23,11 @@ NUMERIC = "numeric"
 RECORD_INDEX = "record-index"
 
 MISSING_MARKERS = {"?", ""}
+
+# keys of a config document; "discretization" and "analysis" are read by the CLI
+CONFIG_KEYS = ("attributes", "class", "timestamp", "exclude", "discretization", "analysis")
+ATTRIBUTE_KEYS = ("name", "kind", "domain")
+TIMESTAMP_KEYS = ("source", "ticks_per_day", "epoch")
 
 
 class SchemaError(ValueError):
@@ -86,24 +93,72 @@ class AttributeSchema:
         return tuple(a.name for a in self.attributes if a.name != self.class_attribute)
 
 
+def read_only(array) -> np.ndarray:
+    """A read-only view of ``array``. The frozen datasets hold only such
+    views, so one dataset cannot change an array another one shares."""
+    view = np.asarray(array).view()
+    view.flags.writeable = False
+    return view
+
+
+def factorize(values) -> tuple[list, np.ndarray]:
+    """Distinct values in first-seen order, and each value's index into them."""
+    distinct = dict.fromkeys(values)
+    index = {value: i for i, value in enumerate(distinct)}
+    return list(distinct), np.fromiter(map(index.__getitem__, values), np.intp, len(values))
+
+
 @dataclass(frozen=True)
 class RawDataset:
-    """Timestamp-ordered records, one raw value slot per analyzed attribute.
+    """Timestamp-ordered records, stored as one column per analyzed attribute.
 
-    ``records`` holds ``(timestamp, values)`` pairs where ``values`` lines up
-    with ``schema.attributes``; missing cells are ``None``. Records are sorted
-    by timestamp, input order preserved on ties.
+    ``timestamps`` is a sorted int64 array, input order preserved on ties.
+    ``columns`` lines up with ``schema.attributes``: a numeric column is
+    float64 with NaN for a missing cell (ingest rejects non-finite values,
+    so NaN means missing and nothing else), a categorical column is an
+    object array of labels with ``None`` for a missing cell. All arrays are
+    read-only.
     """
 
     schema: AttributeSchema
-    records: tuple[tuple[int, tuple], ...] = field(repr=False)
+    timestamps: np.ndarray = field(repr=False)
+    columns: tuple[np.ndarray, ...] = field(repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "timestamps", read_only(self.timestamps))
+        object.__setattr__(self, "columns", tuple(read_only(c) for c in self.columns))
+
+    @classmethod
+    def from_records(cls, schema: AttributeSchema, records) -> "RawDataset":
+        """Build from ``(timestamp, values)`` pairs, ``values`` lined up with
+        ``schema.attributes`` and ``None`` for a missing cell; stably sorted
+        by timestamp."""
+        records = list(records)
+        columns = []
+        for j, attr in enumerate(schema.attributes):
+            values = [v[j] for _, v in records]
+            if attr.kind == NUMERIC:
+                columns.append(np.array([math.nan if v is None else v for v in values], float))
+            else:
+                columns.append(np.array(values, dtype=object))
+        return _sorted(schema, np.array([ts for ts, _ in records], np.int64), columns)
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.timestamps)
+
+    @property
+    def records(self) -> tuple[tuple[int, tuple], ...]:
+        """``(timestamp, values)`` pairs in timestamp order; missing cells are ``None``."""
+        columns = [self.column(name) for name in self.schema.attribute_names]
+        return tuple(zip(self.timestamps.tolist(), zip(*columns)))
 
     def column(self, name: str) -> list:
+        """The values of one attribute in record order; missing cells are ``None``."""
         idx = self.schema.attribute_names.index(name)
-        return [values[idx] for _, values in self.records]
+        values = self.columns[idx].tolist()
+        if self.schema.attributes[idx].kind == NUMERIC:
+            return [None if math.isnan(v) else v for v in values]
+        return values
 
     def to_csv(self) -> str:
         """Serialize back to CSV (timestamp column first). Round-trips."""
@@ -115,13 +170,35 @@ class RawDataset:
         return out.getvalue()
 
 
+def _sorted(schema: AttributeSchema, timestamps: np.ndarray, columns) -> RawDataset:
+    """A :class:`RawDataset` of the columns stably sorted by timestamp."""
+    if np.any(timestamps[1:] < timestamps[:-1]):
+        order = np.argsort(timestamps, kind="stable")  # ties keep input order
+        timestamps, columns = timestamps[order], [c[order] for c in columns]
+    return RawDataset(schema=schema, timestamps=timestamps, columns=tuple(columns))
+
+
+def check_keys(section, allowed: tuple[str, ...], where: str) -> dict:
+    """``section`` as a mapping (``None`` reads as empty), rejecting any key
+    outside ``allowed`` so that a misspelt key fails instead of being ignored."""
+    if section is None:
+        return {}
+    if not isinstance(section, dict):
+        raise SchemaError(f"{where} must be a mapping")
+    for key in section:
+        if key not in allowed:
+            raise SchemaError(f"unknown key {key!r} in {where}; "
+                              f"allowed keys: {', '.join(allowed)}")
+    return section
+
+
 def parse_schema(config_document) -> AttributeSchema:
     """Build an :class:`AttributeSchema` from a YAML document or parsed dict.
 
     Expected keys: ``attributes`` (list of ``{name, kind, domain?}``),
     ``class`` (name of the class attribute), optional ``timestamp``
     (``{source, ticks_per_day?, epoch?}``) and ``exclude`` (list of column
-    names dropped from analysis).
+    names dropped from analysis). Unknown keys are a :class:`SchemaError`.
     """
     if isinstance(config_document, (str, bytes)):
         config = yaml.safe_load(config_document)
@@ -129,6 +206,7 @@ def parse_schema(config_document) -> AttributeSchema:
         config = config_document
     if not isinstance(config, dict):
         raise SchemaError("schema config must be a mapping")
+    check_keys(config, CONFIG_KEYS, "the config")
 
     try:
         raw_attrs = config["attributes"]
@@ -138,7 +216,7 @@ def parse_schema(config_document) -> AttributeSchema:
 
     attributes = []
     for entry in raw_attrs:
-        domain = entry.get("domain")
+        domain = check_keys(entry, ATTRIBUTE_KEYS, "an attribute entry").get("domain")
         attributes.append(
             Attribute(
                 name=str(entry["name"]),
@@ -147,48 +225,70 @@ def parse_schema(config_document) -> AttributeSchema:
             )
         )
 
-    ts_conf = config.get("timestamp") or {}
+    ts_conf = check_keys(config.get("timestamp"), TIMESTAMP_KEYS, "timestamp")
+    excluded = config.get("exclude", ())
+    if not isinstance(excluded, (list, tuple)):
+        raise SchemaError(f"exclude must be a list of column names, got {excluded!r}")
     return AttributeSchema(
         attributes=tuple(attributes),
         class_attribute=str(class_name),
         timestamp_source=str(ts_conf.get("source", RECORD_INDEX)),
-        excluded=tuple(str(c) for c in config.get("exclude", ())),
+        excluded=tuple(str(c) for c in excluded),
         ticks_per_day=ts_conf.get("ticks_per_day"),
         epoch=ts_conf.get("epoch"),
     )
 
 
-def _parse_cell(raw: str, attr: Attribute, row_number: int):
-    value = raw.strip()
-    if value in MISSING_MARKERS:
-        return None
-    if attr.kind == NUMERIC:
-        try:
-            number = float(value)
-        except ValueError:
-            number = math.nan
-        if not math.isfinite(number):  # nan/inf would land in a bin silently
-            raise IngestError(
-                f"row {row_number}: cannot parse {value!r} as a finite number "
-                f"for attribute {attr.name!r}"
-            )
-        return number
+def _float_or_nan(value: str) -> float:
+    try:
+        return float(value)
+    except ValueError:
+        return math.nan
+
+
+def _numeric_column(cells: list[str], name: str):
+    """(float64 column with NaN for missing cells, None), or (None, (index of
+    the first bad cell, message))."""
+    try:
+        values = np.fromiter(map(float, cells), float, len(cells))
+    except ValueError:  # a missing or unparseable cell: those read NaN
+        values = np.fromiter(map(_float_or_nan, cells), float, len(cells))
+    missing = np.fromiter(map(MISSING_MARKERS.__contains__, cells), bool, len(cells))
+    bad = np.flatnonzero(~missing & ~np.isfinite(values))  # nan/inf would land in a bin silently
+    if len(bad):
+        first = int(bad[0])
+        return None, (first, f"cannot parse {cells[first]!r} as a finite number "
+                             f"for attribute {name!r}")
+    return values, None
+
+
+def _categorical_column(cells: list[str]) -> np.ndarray:
+    """Labels with ARFF quoting removed, ``None`` for missing cells."""
+    distinct, inverse = factorize(cells)
+    labels = [None if value in MISSING_MARKERS else _unquote(value) for value in distinct]
+    return np.array(labels, dtype=object)[inverse]
+
+
+def _unquote(value: str) -> str:
     # ARFF convention: strip optional quoting on nominal values
     if len(value) >= 2 and value[0] == value[-1] and value[0] in "'\"":
-        value = value[1:-1]
+        return value[1:-1]
     return value
 
 
-def _parse_timestamp(raw: str, row_number: int) -> int:
-    """An integer tick, parsed exactly; integral decimals such as "5.0" pass."""
-    value = raw.strip()
-    try:
-        tick = Decimal(value)
-    except InvalidOperation:
-        tick = Decimal("NaN")
-    if not tick.is_finite() or tick != tick.to_integral_value() or abs(tick) >= 2**63:
-        raise IngestError(f"row {row_number}: timestamp {value!r} is not an int64 tick")
-    return int(tick)
+def _timestamp_column(cells: list[str]):
+    """(int64 ticks, None), or (None, (index of the first bad cell, message)).
+    Ticks are parsed exactly; integral decimals such as "5.0" pass."""
+    ticks = []
+    for i, value in enumerate(cells):
+        try:
+            tick = Decimal(value)
+        except InvalidOperation:
+            tick = Decimal("NaN")
+        if not tick.is_finite() or tick != tick.to_integral_value() or abs(tick) >= 2**63:
+            return None, (i, f"timestamp {value!r} is not an int64 tick")
+        ticks.append(int(tick))
+    return np.array(ticks, np.int64), None
 
 
 def _rows_from_csv(text: str, delimiter: str) -> tuple[list[str], list[list[str]]]:
@@ -267,18 +367,37 @@ def ingest_records(
             raise IngestError(f"timestamp column {schema.timestamp_source!r} absent from data")
         ts_index = header.index(schema.timestamp_source)
 
-    records = []
-    for i, row in enumerate(rows):
-        row_number = i + 1
-        if len(row) != len(header):
-            raise IngestError(
-                f"row {row_number}: expected {len(header)} fields, got {len(row)}"
-            )
-        timestamp = i if use_index_ts else _parse_timestamp(row[ts_index], row_number)
-        values = tuple(
-            _parse_cell(row[col_index[a.name]], a, row_number) for a in schema.attributes
-        )
-        records.append((timestamp, values))
+    # every row must have the header's arity; rows before the first one that
+    # does not are parsed column by column, so that the error raised names the
+    # first bad row in input order (arity first, then timestamp, then the
+    # attributes in schema order, as a row-by-row parse would)
+    width = len(header)
+    bad_arity = np.flatnonzero(np.fromiter(map(len, rows), np.intp, len(rows)) != width)
+    n_ok = int(bad_arity[0]) if len(bad_arity) else len(rows)
+    ok_rows = rows[:n_ok]
 
-    records.sort(key=lambda rec: rec[0])  # stable: ties keep input order
-    return RawDataset(schema=schema, records=tuple(records))
+    def cells(index: int) -> list[str]:
+        return list(map(str.strip, map(itemgetter(index), ok_rows)))
+
+    errors = []
+    if use_index_ts:
+        timestamps = np.arange(n_ok, dtype=np.int64)
+    else:
+        timestamps, error = _timestamp_column(cells(ts_index))
+        errors.append(error)
+    columns = []
+    for attr in schema.attributes:
+        column = cells(col_index[attr.name])
+        if attr.kind == NUMERIC:
+            values, error = _numeric_column(column, attr.name)
+            errors.append(error)
+        else:
+            values = _categorical_column(column)
+        columns.append(values)
+
+    first = min(((e[0], order, e[1]) for order, e in enumerate(errors) if e), default=None)
+    if first is not None:
+        raise IngestError(f"row {first[0] + 1}: {first[2]}")
+    if n_ok < len(rows):
+        raise IngestError(f"row {n_ok + 1}: expected {width} fields, got {len(rows[n_ok])}")
+    return _sorted(schema, timestamps, columns)

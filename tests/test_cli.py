@@ -239,3 +239,27 @@ def test_failed_second_write_removes_the_first(workspace, capsys, monkeypatch):
     assert "disk full" in capsys.readouterr().err
     assert len(calls) == 2
     assert not list((workspace / "out").iterdir())
+
+
+@pytest.mark.parametrize("old, new, key", [
+    ("timestamp:\n", "timestmp:\n", "timestmp"),
+    ("{name: x3, kind: categorical}", "{name: x3, kind: categorical, domian: [c0]}", "domian"),
+    ("  source: record-index\n", "  sourc: record-index\n", "sourc"),
+    ("  bins: 3\n", "  bin: 3\n", "bin"),
+    ("discretization:", "analysis:\n  distanse: hellinger\ndiscretization:", "distanse"),
+], ids=["top-level", "attribute", "timestamp", "discretization", "analysis"])
+def test_unknown_config_key_fails_nonzero(workspace, capsys, old, new, key):
+    assert old in CONFIG
+    (workspace / "config.yaml").write_text(CONFIG.replace(old, new))
+    rc = run_cli(["encode", *base_args(workspace)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"unknown key {key!r}" in err and "allowed keys" in err
+    assert not (workspace / "out").exists()
+
+
+def test_non_list_exclude_fails_nonzero(workspace, capsys):
+    (workspace / "config.yaml").write_text(CONFIG + "exclude: ab\n")
+    rc = run_cli(["encode", *base_args(workspace)])
+    assert rc == 1
+    assert "exclude must be a list" in capsys.readouterr().err

@@ -45,3 +45,18 @@ def test_demo_runs(demo, tmp_path):
     assert result.returncode == 0, result.stderr
     for pattern in EXPECTED[demo.name]:
         assert list(tmp_path.glob(pattern)), f"{demo.name} wrote no {pattern}"
+
+
+def test_cli_demo_stops_at_a_failed_command(tmp_path):
+    demo = REPO / "demos" / "04_cli_pipeline.py"
+    script = tmp_path / demo.name
+    text = demo.read_text()
+    bad = text.replace('"--window-a", "0:600"', '"--window-a", "bad"', 1)
+    assert bad != text
+    script.write_text(bad)
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    result = subprocess.run([sys.executable, str(script)], cwd=tmp_path, env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 1
+    assert "window must be START:END" in result.stderr
+    assert not list(tmp_path.glob("output/cli/series_*"))  # later commands never ran

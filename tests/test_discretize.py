@@ -136,3 +136,14 @@ def test_record_order_preserved(rng):
     assert encoded.timestamps.tolist() == [ts for ts, _ in raw.records]
     recoded = [encoded.discretizer.encode_value("x", v) for v in values]
     assert encoded.codes[:, 0].tolist() == recoded
+
+
+def test_dataset_arrays_are_read_only():
+    raw = make_raw([1.0, None, 3.0], labels=["a", "b", "a"])
+    encoded = apply_discretizer(raw, fit_discretizer(raw, 2))
+    assert np.shares_memory(raw.timestamps, encoded.timestamps)
+    for array in (raw.timestamps, *raw.columns, encoded.timestamps, encoded.codes):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+    assert raw.column("x") == [1.0, None, 3.0]
+    assert encoded.timestamps.tolist() == [0, 1, 2]

@@ -57,13 +57,14 @@ def streams(draw):
 
     fit = [(0, tuple(value(a, True) for a in attrs))
            for _ in range(draw(st.integers(1, 6)))]
-    discretizer = fit_discretizer(RawDataset(schema, tuple(fit)), draw(st.integers(2, 3)))
+    discretizer = fit_discretizer(RawDataset.from_records(schema, tuple(fit)),
+                                  draw(st.integers(2, 3)))
 
     stamps = sorted(draw(st.lists(st.integers(0, 10), min_size=1, max_size=30)))
     records = tuple(
         (t, tuple(None if draw(st.integers(0, 5)) == 0 else value(a, False) for a in attrs))
         for t in stamps)
-    dataset = apply_discretizer(RawDataset(schema, records), discretizer)
+    dataset = apply_discretizer(RawDataset.from_records(schema, records), discretizer)
 
     start, mid, end = sorted(draw(st.lists(st.integers(-1, 12), min_size=3, max_size=3,
                                            unique=True)))
