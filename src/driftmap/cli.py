@@ -55,6 +55,7 @@ _MAP_KINDS = {
 # keys of the config sections read here; parse_schema checks the rest
 ANALYSIS_KEYS = ("distance", "step", "span", "alignment", "measures")
 DISCRETIZATION_KEYS = ("bins",)
+ARTIFACT_FORMATS = ("csv", "json", "svg")
 
 
 class CliError(ValueError):
@@ -88,6 +89,8 @@ def _parse_measure(text: str, schema: AttributeSchema) -> tuple[str, AttributeSu
     names = tuple(a.strip() for a in attrs.split(",") if a.strip())
     covariates = names or schema.covariate_names
     if kind == CLASS_DRIFT:
+        if names:
+            raise CliError(f"measure 'class' takes no attributes, got {text!r}")
         subset = AttributeSubset.class_only(schema.class_attribute)
     elif kind == JOINT_DRIFT:
         subset = AttributeSubset.joint(covariates, schema.class_attribute)
@@ -96,6 +99,15 @@ def _parse_measure(text: str, schema: AttributeSchema) -> tuple[str, AttributeSu
     else:
         raise CliError(f"unknown measure kind {kind!r}")
     return kind, subset
+
+
+def _parse_formats(text: str) -> set[str]:
+    """'csv,json' -> {'csv', 'json'}; an unknown or empty list is an error."""
+    formats = {f.strip() for f in text.split(",") if f.strip()}
+    if not formats or not formats <= set(ARTIFACT_FORMATS):
+        raise CliError(f"--format-out must list some of {', '.join(ARTIFACT_FORMATS)}; "
+                       f"got {text!r}")
+    return formats
 
 
 def _parse_interval(text: str) -> TimeInterval:
@@ -386,8 +398,8 @@ def build_parser() -> argparse.ArgumentParser:
 def run_cli(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    args.formats = {f.strip() for f in args.formats.split(",") if f.strip()}
     try:
+        args.formats = _parse_formats(args.formats)
         written = args.func(args)
     except Exception as exc:  # noqa: BLE001 - single exit point for the CLI
         print(f"driftmap: error: {exc}", file=sys.stderr)

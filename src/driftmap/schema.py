@@ -77,6 +77,9 @@ class AttributeSchema:
         overlap = set(self.excluded) & set(names)
         if overlap:
             raise SchemaError(f"excluded columns also declared as attributes: {sorted(overlap)}")
+        tpd = self.ticks_per_day
+        if tpd is not None and (type(tpd) is not int or tpd <= 0):  # type(), so a bool is rejected
+            raise SchemaError(f"ticks_per_day must be a positive integer, got {tpd!r}")
 
     def attribute(self, name: str) -> Attribute:
         for a in self.attributes:
@@ -291,8 +294,8 @@ def _timestamp_column(cells: list[str]):
     return np.array(ticks, np.int64), None
 
 
-def _rows_from_csv(text: str, delimiter: str) -> tuple[list[str], list[list[str]]]:
-    reader = csv.reader(io.StringIO(text), delimiter=delimiter)
+def _rows_from_csv(text: str) -> tuple[list[str], list[list[str]]]:
+    reader = csv.reader(io.StringIO(text))
     rows = [row for row in reader if row]
     if not rows:
         raise IngestError("empty CSV input")
@@ -329,12 +332,7 @@ def _rows_from_arff(text: str) -> tuple[list[str], list[list[str]]]:
     return header, data_rows
 
 
-def ingest_records(
-    source,
-    format: str,
-    schema: AttributeSchema,
-    delimiter: str = ",",
-) -> RawDataset:
+def ingest_records(source, format: str, schema: AttributeSchema) -> RawDataset:
     """Parse a CSV or ARFF byte/text stream into a :class:`RawDataset`.
 
     Excluded columns are dropped, every row must supply all analyzed
@@ -350,7 +348,7 @@ def ingest_records(
         text = source
 
     if format == "csv":
-        header, rows = _rows_from_csv(text, delimiter)
+        header, rows = _rows_from_csv(text)
     elif format == "arff":
         header, rows = _rows_from_arff(text)
     else:

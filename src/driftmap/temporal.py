@@ -62,6 +62,10 @@ class SweepSpec:
             raise SweepError(f"unknown alignment {self.alignment!r}")
         if not self.measures:
             raise SweepError("at least one measure is required")
+        keys = [m.key for m in self.measures]
+        repeated = sorted({k for k in keys if keys.count(k) > 1})
+        if repeated:
+            raise SweepError(f"each measure may appear once in a sweep; repeated: {repeated}")
 
     def windows_at(self, t: int) -> tuple[TimeInterval, TimeInterval]:
         if self.alignment == ADJACENT:

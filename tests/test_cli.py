@@ -263,3 +263,41 @@ def test_non_list_exclude_fails_nonzero(workspace, capsys):
     rc = run_cli(["encode", *base_args(workspace)])
     assert rc == 1
     assert "exclude must be a list" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("formats", ["png", "csv,jsn", ",", ""])
+def test_unknown_or_empty_format_out_fails_nonzero(workspace, capsys, formats):
+    rc = run_cli(["measure", *base_args(workspace), "--format-out", formats,
+                  "--window-a", "0:100", "--window-b", "100:200"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "csv" in err and "json" in err and "svg" in err
+    assert not (workspace / "out").exists()
+
+
+def test_class_measure_with_attributes_fails_nonzero(workspace, capsys):
+    rc = run_cli(["measure", *base_args(workspace), "--measure", "class:x1",
+                  "--window-a", "0:100", "--window-b", "100:200"])
+    assert rc == 1
+    assert "'class:x1'" in capsys.readouterr().err
+    assert not (workspace / "out").exists()
+
+
+@pytest.mark.parametrize("value", ['"10"', "2.5", "true", "0", "-3"])
+def test_ticks_per_day_must_be_a_positive_integer(workspace, capsys, value):
+    config = CONFIG.replace("  ticks_per_day: 10\n", f"  ticks_per_day: {value}\n")
+    (workspace / "config.yaml").write_text(config)
+    rc = run_cli(["series", *base_args(workspace), "--span", "2d", "--measure", "class"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "ticks_per_day must be a positive integer" in err
+    assert value.strip('"').lower() in err.lower()
+    assert not (workspace / "out").exists()
+
+
+def test_repeated_series_measure_fails_nonzero(workspace, capsys):
+    rc = run_cli(["series", *base_args(workspace), "--span", "50",
+                  "--measure", "covariate", "--measure", "covariate"])
+    assert rc == 1
+    assert "repeated" in capsys.readouterr().err
+    assert not (workspace / "out").exists()

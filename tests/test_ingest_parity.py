@@ -69,7 +69,7 @@ def _reference_timestamp(raw, row_number):
 
 
 def reference_ingest(text, fmt, schema):
-    header, rows = _rows_from_csv(text, ",") if fmt == "csv" else _rows_from_arff(text)
+    header, rows = _rows_from_csv(text) if fmt == "csv" else _rows_from_arff(text)
     records = []
     for i, row in enumerate(rows):
         if len(row) != len(header):

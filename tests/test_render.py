@@ -1,3 +1,4 @@
+import hashlib
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -10,6 +11,10 @@ from driftmap.temporal import MeasureSpec, SweepSpec, drift_series
 from conftest import build_encoded
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
+
+# sha256 of the renders in TestExactLayout; a deliberate layout change records new ones
+HEATMAP_SHA256 = "534d1619354fe9405872a5e4167e296e1cc22efde232fc6329eeaef774e14152"
+LINEPLOT_SHA256 = "89115164b5e243350a2ec9d5a3798a422340a843613f2ad884047f760b46246d"
 
 
 def grid_of(values, labels=None):
@@ -79,15 +84,10 @@ class TestHeatmap:
         assert render_heatmap(grid) == render_heatmap(grid)
 
     def test_color_anchored_to_unit_range(self):
-        style = PlotStyle()
-        svg0 = render_heatmap(grid_of([[0.0]]), style)
-        svg1 = render_heatmap(grid_of([[1.0]]), style)
+        svg0 = render_heatmap(grid_of([[0.0]]))
+        svg1 = render_heatmap(grid_of([[1.0]]))
         assert "#ffffff" in svg0
         assert "#b2182b" in svg1
-
-    def test_invalid_style_rejected(self):
-        with pytest.raises(ValueError):
-            PlotStyle(width=0)
 
 
 class TestLineplot:
@@ -150,3 +150,37 @@ class TestLineplot:
         series = drift_series(ds, spec)
         with pytest.raises(ValueError):
             render_lineplot(series)
+
+
+def sha256(svg: str) -> str:
+    return hashlib.sha256(svg.encode()).hexdigest()
+
+
+class TestExactLayout:
+    """Digests of fixed renders: any change to the layout, an attribute's
+    order or a number's format changes the bytes."""
+
+    def test_heatmap_bytes(self):
+        grid = HeatMapGrid(
+            map_kind="conditioned_pairwise",
+            row_labels=("a0", "<a&b>", "a2"),
+            col_labels=("a0", "<a&b>", "a2"),
+            values=((0.0, 0.123456, None), (0.123456, 0.5, 0.875),
+                    (None, 0.875, 1.0)),
+            window_a=TimeInterval(0, 10),
+            window_b=TimeInterval(10, 20),
+            class_label="pos",
+        )
+        assert sha256(render_heatmap(grid)) == HEATMAP_SHA256
+
+    def test_lineplot_bytes(self):
+        # records at 14 and 15 alone give one usable point at t=15 between gaps
+        timestamps = list(range(10)) + [14, 15] + list(range(24, 34))
+        ds = build_encoded([[i % 2, i % 3, i % 2] for i in range(len(timestamps))],
+                           [2, 3, 2], timestamps=timestamps)
+        spec = SweepSpec(compute_step=1, span=2, measures=(
+            MeasureSpec("covariate", AttributeSubset.covariates(["a0"])),
+            MeasureSpec("class", AttributeSubset.class_only("label"))))
+        style = PlotStyle(vertical_markers=(9, 40), x_label="day <&>",
+                          y_label="drift magnitude")
+        assert sha256(render_lineplot(drift_series(ds, spec), style)) == LINEPLOT_SHA256

@@ -36,6 +36,8 @@ def test_spec_validation():
         SweepSpec(compute_step=1, span=1, measures=())
     with pytest.raises(SweepError):
         SweepSpec(compute_step=1, span=1, alignment="sideways", measures=ms)
+    with pytest.raises(SweepError, match="repeated"):
+        SweepSpec(compute_step=1, span=1, measures=ms + ms)
 
 
 def test_adjacent_windows():
