@@ -16,6 +16,7 @@ import hashlib
 import io
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
 from . import maps as maps_mod
@@ -42,13 +43,14 @@ from .measures import (
 from .render import PlotStyle, render_heatmap, render_lineplot
 from .schema import AttributeSchema, check_keys, ingest_records, parse_schema
 from .temporal import ADJACENT, CONSECUTIVE, MeasureSpec, SweepSpec, drift_series
-from .temporal import series_statistics
+from .temporal import check_unique_measures, series_statistics
 
-_MAP_KINDS = {
-    "pairwise-joint": maps_mod.PAIRWISE_JOINT,
-    "conditioned-univariate": maps_mod.CONDITIONED_UNIVARIATE,
-    "conditioned-pairwise": maps_mod.CONDITIONED_PAIRWISE,
-    "posterior-pairwise": maps_mod.POSTERIOR_PAIRWISE,
+# --kind -> its builder's name in driftmap.maps, looked up when the command runs
+_MAP_BUILDERS = {
+    "pairwise-joint": "pairwise_joint_map",
+    "conditioned-univariate": "conditioned_univariate_map",
+    "conditioned-pairwise": "conditioned_pairwise_map",
+    "posterior-pairwise": "posterior_pairwise_map",
 }
 
 
@@ -101,12 +103,23 @@ def _parse_measure(text: str, schema: AttributeSchema) -> tuple[str, AttributeSu
     return kind, subset
 
 
-def _parse_formats(text: str) -> set[str]:
-    """'csv,json' -> {'csv', 'json'}; an unknown or empty list is an error."""
-    formats = {f.strip() for f in text.split(",") if f.strip()}
-    if not formats or not formats <= set(ARTIFACT_FORMATS):
-        raise CliError(f"--format-out must list some of {', '.join(ARTIFACT_FORMATS)}; "
-                       f"got {text!r}")
+def _measure_specs(texts, schema: AttributeSchema, distance: str) -> tuple[MeasureSpec, ...]:
+    """--measure values -> MeasureSpecs; naming one measure twice is an error."""
+    specs = tuple(MeasureSpec(*_parse_measure(text, schema), distance_kind=distance)
+                  for text in texts)
+    check_unique_measures(specs)
+    return specs
+
+
+def _parse_formats(args) -> set[str]:
+    """--format-out 'csv,json' -> {'csv', 'json'}; an empty list, or a format
+    the subcommand does not write, is an error."""
+    formats = {f.strip() for f in args.formats.split(",") if f.strip()}
+    if not formats or not formats <= set(args.writable):
+        unwritten = [f for f in ARTIFACT_FORMATS if f not in args.writable]
+        note = f" ({args.command} writes no {', '.join(unwritten)})" if unwritten else ""
+        raise CliError(f"--format-out must list some of {', '.join(args.writable)}{note}; "
+                       f"got {args.formats!r}")
     return formats
 
 
@@ -127,13 +140,18 @@ def _json(doc: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _write_artifacts(out_dir, artifacts: dict[str, str]) -> list[Path]:
-    """Write each named artifact under ``out_dir``, in order. If a write
+def _write_artifacts(out_dir, formats: set[str], artifacts: dict) -> list[Path]:
+    """Write, in order under ``out_dir``, each named artifact whose file
+    extension is in ``formats``. A content may be a callable that builds the
+    text; it is called only for an artifact that is written. If a write
     fails, every file written so far (a partial one too) is removed, so no
     partial outputs survive. The directory is created only when needed."""
     out_dir, written = Path(out_dir), []
     try:
         for name, content in artifacts.items():
+            if Path(name).suffix[1:] not in formats:
+                continue
+            content = content() if callable(content) else content
             out_dir.mkdir(parents=True, exist_ok=True)
             written.append(out_dir / name)
             written[-1].write_text(content)
@@ -166,8 +184,11 @@ def _load_pipeline(args) -> tuple[dict, AttributeSchema, EncodedDataset, str]:
         bins = discretization.get("bins")
     if bins is None:
         bins = DEFAULT_BIN_COUNT
-    if getattr(args, "discretizer", None):
-        discretizer = Discretizer.from_json(Path(args.discretizer).read_text(), schema)
+    sidecar = {}
+    if args.discretizer:
+        sidecar_text = Path(args.discretizer).read_text()
+        discretizer = Discretizer.from_json(sidecar_text, schema)
+        sidecar["discretizer_sha256"] = hashlib.sha256(sidecar_text.encode()).hexdigest()
     else:
         discretizer = fit_discretizer(raw, bins)
     encoded = apply_discretizer(raw, discretizer)
@@ -177,6 +198,7 @@ def _load_pipeline(args) -> tuple[dict, AttributeSchema, EncodedDataset, str]:
         "data_sha256": hashlib.sha256(data_bytes).hexdigest(),
         "bins": bins,
         "format": fmt,
+        **sidecar,
     })
     return analysis, schema, encoded, seed
 
@@ -209,11 +231,11 @@ def _encoded_csv(encoded: EncodedDataset) -> str:
     return out.getvalue()
 
 
-def cmd_encode(args) -> list[Path]:
+def cmd_encode(args) -> dict:
     _, schema, encoded, seed = _load_pipeline(args)
     key = _provenance_hash({"cmd": "encode", "seed": seed})
-    return _write_artifacts(args.out, {
-        f"encoded_{key}.csv": _encoded_csv(encoded),
+    return {
+        f"encoded_{key}.csv": partial(_encoded_csv, encoded),
         f"discretizer_{key}.json": encoded.discretizer.to_json() + "\n",
         f"provenance_{key}.json": _json(_provenance_doc(args, seed, {
             "command": "encode",
@@ -222,20 +244,17 @@ def cmd_encode(args) -> list[Path]:
             "overflow_counts": encoded.overflow_counts,
             "discretizer": f"discretizer_{key}.json",
         })),
-    })
+    }
 
 
-def cmd_measure(args) -> list[Path]:
+def cmd_measure(args) -> dict:
     analysis, schema, encoded, seed = _load_pipeline(args)
-    window_a = _parse_interval(args.window_a)
-    window_b = _parse_interval(args.window_b)
+    window_a, window_b = map(_parse_interval, (args.window_a, args.window_b))
     distance = _distance(args, analysis)
     measure_args = args.measure or ["joint", "covariate", "class",
                                     "conditioned_covariate", "posterior"]
-    results = []
-    for text in measure_args:
-        kind, subset = _parse_measure(text, schema)
-        results.append(compute_drift(encoded, window_a, window_b, kind, subset, distance))
+    results = [compute_drift(encoded, window_a, window_b, m.measure_kind, m.subset, distance)
+               for m in _measure_specs(measure_args, schema, distance)]
 
     key = _provenance_hash({
         "cmd": "measure", "seed": seed, "distance": distance,
@@ -243,32 +262,27 @@ def cmd_measure(args) -> list[Path]:
         "measures": sorted(measure_args),
     })
     rows = [m.to_row() for m in results]
-    artifacts = {}
-    if "csv" in args.formats:
-        artifacts[f"measure_{key}.csv"] = rows_to_csv(rows, MEASUREMENT_FIELDS)
-    if "json" in args.formats:
-        artifacts[f"measure_{key}.json"] = _json({
+    return {
+        f"measure_{key}.csv": rows_to_csv(rows, MEASUREMENT_FIELDS),
+        f"measure_{key}.json": _json({
             "provenance": _provenance_doc(args, seed, {
                 "command": "measure", "distance": distance,
                 "one_sided_conditionals": "inner distance fixed at 1.0",
             }),
             "measurements": rows,
-        })
-    return _write_artifacts(args.out, artifacts)
+        }),
+    }
 
 
-def cmd_series(args) -> list[Path]:
+def cmd_series(args) -> dict:
     analysis, schema, encoded, seed = _load_pipeline(args)
     distance = _distance(args, analysis)
     step = _parse_span(args.step or analysis.get("step", 1), schema)
     span = _parse_span(args.span or analysis.get("span", 1), schema)
     alignment = args.alignment or analysis.get("alignment", ADJACENT)
     measure_args = args.measure or analysis.get("measures") or ["covariate"]
-    specs = tuple(
-        MeasureSpec(*_parse_measure(text, schema), distance_kind=distance)
-        for text in measure_args
-    )
-    spec = SweepSpec(compute_step=step, span=span, alignment=alignment, measures=specs)
+    spec = SweepSpec(compute_step=step, span=span, alignment=alignment,
+                     measures=_measure_specs(measure_args, schema, distance))
     series = drift_series(encoded, spec)
 
     key = _provenance_hash({
@@ -276,11 +290,9 @@ def cmd_series(args) -> list[Path]:
         "step": step, "span": span, "alignment": alignment,
         "measures": sorted(measure_args),
     })
-    artifacts = {}
-    if "csv" in args.formats:
-        artifacts[f"series_{key}.csv"] = series.to_csv()
-    if "json" in args.formats:
-        artifacts[f"series_{key}.json"] = _json({
+    artifacts = {
+        f"series_{key}.csv": series.to_csv(),
+        f"series_{key}.json": _json({
             "provenance": _provenance_doc(args, seed, {
                 "command": "series", "distance": distance,
                 "step": step, "span": span, "alignment": alignment,
@@ -288,36 +300,27 @@ def cmd_series(args) -> list[Path]:
             "status": series.status,
             "statistics": series_statistics(series) if len(series) else {},
             "points": series.to_rows(),
-        })
-    if "svg" in args.formats and len(series):
+        }),
+    }
+    if len(series):
         markers = tuple(int(m) for m in (args.marker or ()))
         style = PlotStyle(vertical_markers=markers,
                           x_label="time (ticks)", y_label="drift magnitude")
-        artifacts[f"series_{key}.svg"] = render_lineplot(series, style)
-    return _write_artifacts(args.out, artifacts)
+        artifacts[f"series_{key}.svg"] = partial(render_lineplot, series, style)
+    return artifacts
 
 
-def cmd_map(args) -> list[Path]:
+def cmd_map(args) -> dict:
+    if args.classes_on_map and args.kind != "pairwise-joint":
+        raise CliError(f"--classes-on-map applies only to --kind pairwise-joint, "
+                       f"not {args.kind!r}")
     analysis, schema, encoded, seed = _load_pipeline(args)
-    window_a = _parse_interval(args.window_a)
-    window_b = _parse_interval(args.window_b)
+    window_a, window_b = map(_parse_interval, (args.window_a, args.window_b))
     distance = _distance(args, analysis)
     attributes = tuple(a.strip() for a in args.subset.split(",")) if args.subset else None
-
-    kind = _MAP_KINDS[args.kind]
-    if kind == maps_mod.PAIRWISE_JOINT:
-        grids = [maps_mod.pairwise_joint_map(
-            encoded, window_a, window_b, attributes, distance,
-            include_class=args.classes_on_map)]
-    elif kind == maps_mod.CONDITIONED_UNIVARIATE:
-        grids = [maps_mod.conditioned_univariate_map(
-            encoded, window_a, window_b, attributes, distance)]
-    elif kind == maps_mod.CONDITIONED_PAIRWISE:
-        grids = maps_mod.conditioned_pairwise_map(
-            encoded, window_a, window_b, attributes, distance)
-    else:
-        grids = [maps_mod.posterior_pairwise_map(
-            encoded, window_a, window_b, attributes, distance)]
+    extra = {"include_class": True} if args.classes_on_map else {}
+    grids = getattr(maps_mod, _MAP_BUILDERS[args.kind])(
+        encoded, window_a, window_b, attributes, distance, **extra)
 
     key = _provenance_hash({
         "cmd": "map", "seed": seed, "distance": distance, "kind": args.kind,
@@ -326,20 +329,17 @@ def cmd_map(args) -> list[Path]:
         "classes_on_map": bool(args.classes_on_map),
     })
     artifacts = {}
-    for grid in grids:
+    for grid in grids if isinstance(grids, list) else [grids]:
         suffix = f"_{grid.class_label}" if grid.class_label else ""
         stem = f"map_{args.kind}_{key}{suffix}"
-        if "csv" in args.formats:
-            artifacts[stem + ".csv"] = grid.to_csv()
-        if "json" in args.formats:
-            doc = json.loads(grid.to_json())
-            doc["provenance"] = _provenance_doc(args, seed, {
-                "command": "map", "kind": args.kind, "distance": distance,
-            })
-            artifacts[stem + ".json"] = _json(doc)
-        if "svg" in args.formats:
-            artifacts[stem + ".svg"] = render_heatmap(grid)
-    return _write_artifacts(args.out, artifacts)
+        doc = json.loads(grid.to_json())
+        doc["provenance"] = _provenance_doc(args, seed, {
+            "command": "map", "kind": args.kind, "distance": distance,
+        })
+        artifacts[stem + ".csv"] = grid.to_csv()
+        artifacts[stem + ".json"] = _json(doc)
+        artifacts[stem + ".svg"] = partial(render_heatmap, grid)
+    return artifacts
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -349,7 +349,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, windows=False):
+    def command(name, help, func, writable, windows=False):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func, writable=writable)
         p.add_argument("--config", required=True, help="YAML schema/analysis config")
         p.add_argument("--data", required=True, help="input CSV or ARFF file")
         p.add_argument("--format", choices=["csv", "arff"],
@@ -357,25 +359,22 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--bins", type=int, help="equal-frequency bin count (default 5)")
         p.add_argument("--discretizer", help="reuse a fitted discretizer sidecar JSON")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--distance", choices=["tvd", "hellinger"])
         p.add_argument("--format-out", dest="formats", default="csv,json",
-                       help="comma list of artifact formats: csv,json,svg")
+                       help="comma list of artifact formats: " + ",".join(writable))
         if windows:
             p.add_argument("--window-a", required=True, help="START:END ticks")
             p.add_argument("--window-b", required=True, help="START:END ticks")
+        return p
 
-    p_encode = sub.add_parser("encode", help="ingest, fit and apply the discretizer")
-    common(p_encode)
-    p_encode.set_defaults(func=cmd_encode)
+    command("encode", "ingest, fit and apply the discretizer", cmd_encode, ("csv", "json"))
 
-    p_measure = sub.add_parser("measure", help="drift measures for one window pair")
-    common(p_measure, windows=True)
+    p_measure = command("measure", "drift measures for one window pair", cmd_measure,
+                        ("csv", "json"), windows=True)
     p_measure.add_argument("--measure", action="append",
                            help="kind[:attr,...]; repeatable")
-    p_measure.set_defaults(func=cmd_measure)
 
-    p_series = sub.add_parser("series", help="sweep drift measures along the stream")
-    common(p_series)
+    p_series = command("series", "sweep drift measures along the stream", cmd_series,
+                       ARTIFACT_FORMATS)
     p_series.add_argument("--step", help="evaluation frequency (ticks or Nd/Nw)")
     p_series.add_argument("--span", help="compared-period span (ticks or Nd/Nw)")
     p_series.add_argument("--alignment", choices=[ADJACENT, CONSECUTIVE])
@@ -383,15 +382,15 @@ def build_parser() -> argparse.ArgumentParser:
                           help="kind[:attr,...]; repeatable")
     p_series.add_argument("--marker", action="append",
                           help="dashed vertical marker at this tick; repeatable")
-    p_series.set_defaults(func=cmd_series)
 
-    p_map = sub.add_parser("map", help="heat-map grids for one window pair")
-    common(p_map, windows=True)
-    p_map.add_argument("--kind", choices=sorted(_MAP_KINDS), required=True)
+    p_map = command("map", "heat-map grids for one window pair", cmd_map, ARTIFACT_FORMATS,
+                    windows=True)
+    p_map.add_argument("--kind", choices=sorted(_MAP_BUILDERS), required=True)
     p_map.add_argument("--subset", help="comma list of attributes (default: all covariates)")
     p_map.add_argument("--classes-on-map", action="store_true",
-                       help="include the class attribute on pairwise-joint maps")
-    p_map.set_defaults(func=cmd_map)
+                       help="add the class attribute to a pairwise-joint map")
+    for p in (p_measure, p_series, p_map):
+        p.add_argument("--distance", choices=["tvd", "hellinger"])
     return parser
 
 
@@ -399,8 +398,7 @@ def run_cli(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args.formats = _parse_formats(args.formats)
-        written = args.func(args)
+        written = _write_artifacts(args.out, _parse_formats(args), args.func(args))
     except Exception as exc:  # noqa: BLE001 - single exit point for the CLI
         print(f"driftmap: error: {exc}", file=sys.stderr)
         return 1

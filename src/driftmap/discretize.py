@@ -71,14 +71,40 @@ class Discretizer:
 
     @classmethod
     def from_json(cls, text: str, schema: AttributeSchema) -> "Discretizer":
+        """A sidecar written by :meth:`to_json`, checked against ``schema``."""
         doc = json.loads(text)
+        cut_points = {k: tuple(v) for k, v in doc["cut_points"].items()}
+        label_codes = {k: {lbl: int(c) for lbl, c in d.items()}
+                       for k, d in doc["label_codes"].items()}
+        _check_sidecar(schema, cut_points, label_codes)
         return cls(
             schema=schema,
             bin_count=int(doc["bin_count"]),
-            cut_points={k: tuple(v) for k, v in doc["cut_points"].items()},
-            label_codes={k: {lbl: int(c) for lbl, c in d.items()}
-                         for k, d in doc["label_codes"].items()},
+            cut_points=cut_points,
+            label_codes=label_codes,
         )
+
+
+def _check_sidecar(schema: AttributeSchema, cut_points: dict, label_codes: dict) -> None:
+    """Cut points for exactly the numeric attributes, finite and strictly
+    increasing; label codes 0..k-1 for exactly the categorical ones."""
+    numeric = {a.name for a in schema.attributes if a.kind == NUMERIC}
+    for section, table, names in (("cut_points", cut_points, numeric),
+                                  ("label_codes", label_codes,
+                                   set(schema.attribute_names) - numeric)):
+        for name in sorted(table.keys() ^ names):
+            problem = "lacks" if name in names else "has an unexpected entry for"
+            raise DiscretizationError(
+                f"discretizer sidecar {section} {problem} attribute {name!r}")
+    for name, cuts in cut_points.items():
+        values = np.asarray(cuts, dtype=float)
+        if not np.isfinite(values).all() or (np.diff(values) <= 0).any():
+            raise DiscretizationError(f"cut points of attribute {name!r} must be finite and "
+                                      f"strictly increasing, got {list(cuts)}")
+    for name, codes in label_codes.items():
+        if sorted(codes.values()) != list(range(len(codes))):
+            raise DiscretizationError(f"label codes of attribute {name!r} must be "
+                                      f"0..{len(codes) - 1}, got {sorted(codes.values())}")
 
 
 @dataclass(frozen=True)

@@ -153,17 +153,15 @@ def pairwise_joint_map(
 ) -> HeatMapGrid:
     """cell(i,j) = marginal drift over the attribute pair {Ai, Aj}.
 
-    The diagonal holds univariate drift. The class attribute joins the grid
-    as an ordinary row/column when requested.
+    The diagonal holds univariate drift. When requested, the class attribute
+    joins the grid as an ordinary last row/column, unless already listed.
     """
-    if attributes is None:
-        attributes = dataset.schema.covariate_names
-        if include_class:
-            attributes = attributes + (dataset.schema.class_attribute,)
-    attributes = tuple(attributes)
+    attributes = tuple(dataset.schema.covariate_names if attributes is None else attributes)
     if not attributes:
         raise GridError("pairwise map needs at least one attribute")
     class_name = dataset.schema.class_attribute
+    if include_class and class_name not in attributes:
+        attributes += (class_name,)
 
     def cell(names):
         role_names = tuple(x for x in names if x != class_name)

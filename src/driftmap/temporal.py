@@ -17,7 +17,6 @@ from .discretize import EncodedDataset
 from .estimate import AttributeSubset, TimeInterval
 from .measures import (
     MEASUREMENT_FIELDS,
-    STATUS_INSUFFICIENT,
     STATUS_OK,
     TOTAL_VARIATION,
     DriftMeasurement,
@@ -46,6 +45,14 @@ class MeasureSpec:
         return f"{self.measure_kind}:{'|'.join(self.subset.names)}:{self.distance_kind}"
 
 
+def check_unique_measures(measures) -> None:
+    """Each measure may be requested once; a repeat would be computed twice."""
+    keys = [m.key for m in measures]
+    repeated = sorted({k for k in keys if keys.count(k) > 1})
+    if repeated:
+        raise SweepError(f"each measure may appear once; repeated: {repeated}")
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     compute_step: int
@@ -62,16 +69,17 @@ class SweepSpec:
             raise SweepError(f"unknown alignment {self.alignment!r}")
         if not self.measures:
             raise SweepError("at least one measure is required")
-        keys = [m.key for m in self.measures]
-        repeated = sorted({k for k in keys if keys.count(k) > 1})
-        if repeated:
-            raise SweepError(f"each measure may appear once in a sweep; repeated: {repeated}")
+        check_unique_measures(self.measures)
+
+    @property
+    def offset(self) -> int:
+        """Ticks from the evaluation time back to the windows' shared edge."""
+        return 0 if self.alignment == ADJACENT else self.span
 
     def windows_at(self, t: int) -> tuple[TimeInterval, TimeInterval]:
-        if self.alignment == ADJACENT:
-            return TimeInterval(t - self.span, t), TimeInterval(t, t + self.span)
-        return (TimeInterval(t - 2 * self.span, t - self.span),
-                TimeInterval(t - self.span, t))
+        boundary = t - self.offset
+        return (TimeInterval(boundary - self.span, boundary),
+                TimeInterval(boundary, boundary + self.span))
 
 
 @dataclass(frozen=True)
@@ -122,13 +130,9 @@ def drift_series(dataset: EncodedDataset, spec: SweepSpec) -> DriftSeries:
         return DriftSeries(spec=spec, points=(), status="empty dataset")
     t_min = int(dataset.timestamps[0])
     t_max = int(dataset.timestamps[-1])
-
-    if spec.alignment == ADJACENT:
-        first = t_min + spec.span
-        last = t_max + 1 - spec.span
-    else:
-        first = t_min + 2 * spec.span
-        last = t_max + 1
+    # the first window starts at t_min; the second ends just past t_max
+    first = t_min + spec.span + spec.offset
+    last = t_max + 1 - spec.span + spec.offset
     if first > last:
         return DriftSeries(spec=spec, points=(),
                            status="dataset shorter than one window pair")
@@ -154,16 +158,12 @@ def series_statistics(series: DriftSeries) -> dict[str, dict]:
     summary: dict[str, dict] = {}
     for mspec in series.spec.measures:
         values = [(p.time, p.results[mspec.key].magnitude)
-                  for p in series.points
-                  if p.results[mspec.key].status != STATUS_INSUFFICIENT]
+                  for p in series.points if p.results[mspec.key].ok]
         if not values:
             summary[mspec.key] = {"status": "no usable points"}
             continue
         magnitudes = [v for _, v in values]
-        best_time, best = values[0]
-        for t, v in values[1:]:
-            if v > best:
-                best_time, best = t, v
+        best_time, best = max(values, key=lambda tv: tv[1])  # the first, earliest maximum
         summary[mspec.key] = {
             "status": STATUS_OK,
             "min": min(magnitudes),

@@ -265,7 +265,7 @@ def test_non_list_exclude_fails_nonzero(workspace, capsys):
     assert "exclude must be a list" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("formats", ["png", "csv,jsn", ",", ""])
+@pytest.mark.parametrize("formats", ["png", "csv,jsn", ",", "", "svg"])
 def test_unknown_or_empty_format_out_fails_nonzero(workspace, capsys, formats):
     rc = run_cli(["measure", *base_args(workspace), "--format-out", formats,
                   "--window-a", "0:100", "--window-b", "100:200"])
@@ -301,3 +301,69 @@ def test_repeated_series_measure_fails_nonzero(workspace, capsys):
     assert rc == 1
     assert "repeated" in capsys.readouterr().err
     assert not (workspace / "out").exists()
+
+
+def test_encode_honours_format_out(workspace, capsys):
+    rc = run_cli(["encode", *base_args(workspace), "--format-out", "json"])
+    assert rc == 0
+    names = sorted(Path(p).name.split("_")[0] for p in capsys.readouterr().out.split())
+    assert names == ["discretizer", "provenance"]
+    assert sorted(p.suffix for p in (workspace / "out").iterdir()) == [".json", ".json"]
+
+
+def test_encode_format_out_svg_fails_nonzero(workspace, capsys):
+    rc = run_cli(["encode", *base_args(workspace), "--format-out", "svg"])
+    assert rc == 1
+    assert "encode writes no svg" in capsys.readouterr().err
+    assert not (workspace / "out").exists()
+
+
+def test_encode_rejects_distance(workspace, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli(["encode", *base_args(workspace), "--distance", "tvd"])
+    assert exit_info.value.code != 0
+    assert "--distance" in capsys.readouterr().err
+    assert not (workspace / "out").exists()
+
+
+def test_repeated_measure_fails_nonzero(workspace, capsys):
+    rc = run_cli(["measure", *base_args(workspace), "--window-a", "0:100",
+                  "--window-b", "100:200", "--measure", "covariate", "--measure", "covariate"])
+    assert rc == 1
+    assert "repeated" in capsys.readouterr().err
+    assert not (workspace / "out").exists()
+
+
+def test_classes_on_map_needs_pairwise_joint(workspace, capsys):
+    rc = run_cli(["map", *base_args(workspace), "--kind", "posterior-pairwise",
+                  "--classes-on-map", "--window-a", "0:200", "--window-b", "200:400"])
+    assert rc == 1
+    assert "--classes-on-map" in capsys.readouterr().err
+    assert not (workspace / "out").exists()
+
+
+def test_classes_on_map_with_subset(workspace, capsys):
+    rc = run_cli(["map", *base_args(workspace), "--kind", "pairwise-joint",
+                  "--subset", "x1,x2", "--classes-on-map", "--format-out", "json",
+                  "--window-a", "0:200", "--window-b", "200:400"])
+    assert rc == 0
+    doc = json.loads(Path(capsys.readouterr().out.strip()).read_text())
+    assert {c["row"] for c in doc["cells"]} == {"x1", "x2", "label"}
+
+
+def test_discretizer_sidecar_enters_provenance_hash(workspace, capsys):
+    window = ["--window-a", "0:100", "--window-b", "100:200"]
+    assert run_cli(["encode", *base_args(workspace)]) == 0
+    sidecar = next(Path(f) for f in capsys.readouterr().out.split()
+                   if Path(f).name.startswith("discretizer_"))
+    doc = json.loads(sidecar.read_text())
+    doc["cut_points"]["x1"] = [-1.0, 1.0]
+    other = workspace / "other.json"
+    other.write_text(json.dumps(doc))
+
+    outputs = {}
+    for name, extra in (("fitted", []), ("sidecar", ["--discretizer", str(sidecar)]),
+                        ("other", ["--discretizer", str(other)])):
+        assert run_cli(["measure", *base_args(workspace), *window, *extra]) == 0
+        outputs[name] = {Path(f).name for f in capsys.readouterr().out.split()}
+    assert len(outputs["fitted"] | outputs["sidecar"] | outputs["other"]) == 6

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -127,6 +129,25 @@ def test_sidecar_round_trip(rng):
     assert restored.cut_points == d.cut_points
     assert restored.label_codes == d.label_codes
     assert restored.bin_count == d.bin_count
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: doc["cut_points"].pop("x"), "cut_points lacks attribute 'x'"),
+    (lambda doc: doc["label_codes"].pop("y"), "label_codes lacks attribute 'y'"),
+    (lambda doc: doc["cut_points"].update(z=[1.0]),
+     "cut_points has an unexpected entry for attribute 'z'"),
+    (lambda doc: doc["cut_points"].update(x=[0.5, 0.1]), "'x' must be finite and strictly"),
+    (lambda doc: doc["cut_points"].update(x=[0.5, 0.5]), "'x' must be finite and strictly"),
+    (lambda doc: doc["cut_points"].update(x=[0.5, float("inf")]), "'x' must be finite"),
+    (lambda doc: doc["label_codes"].update(y={"a": 0, "b": 2}), "'y' must be 0..1"),
+], ids=["missing-numeric", "missing-categorical", "extra", "decreasing", "repeated",
+        "infinite", "code-gap"])
+def test_sidecar_checked_against_schema(edit, message):
+    raw = make_raw([1.0, 2.0, 3.0, 4.0], ["a", "b", "a", "b"])
+    doc = json.loads(fit_discretizer(raw, bin_count=3).to_json())
+    edit(doc)
+    with pytest.raises(DiscretizationError, match=message):
+        Discretizer.from_json(json.dumps(doc), raw.schema)
 
 
 def test_record_order_preserved(rng):

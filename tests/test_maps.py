@@ -74,6 +74,13 @@ class TestPairwiseJoint:
         k = grid.row_labels.index("label")
         assert grid.cell(k, k) == 0.0
 
+    def test_class_appended_to_explicit_attributes_once(self, rng):
+        ds, wa, wb = random_encoded(rng, n_attrs=2, n_records=20)
+        grid = pairwise_joint_map(ds, wa, wb, ("a1",), include_class=True)
+        assert grid.row_labels == ("a1", "label")
+        grid = pairwise_joint_map(ds, wa, wb, ("label", "a0"), include_class=True)
+        assert grid.row_labels == ("label", "a0")
+
     def test_insufficient_data_propagates(self):
         ds = build_encoded([[0, 0]] * 4, [2, 2], timestamps=[5, 6, 7, 8])
         grid = pairwise_joint_map(ds, TimeInterval(0, 4), TimeInterval(5, 9))
