@@ -27,15 +27,11 @@ from .discretize import (
     apply_discretizer,
     fit_discretizer,
 )
-from .estimate import AttributeSubset, TimeInterval
+from .estimate import CLASS_ONLY, JOINT, AttributeSubset, TimeInterval
 from .measures import (
-    CLASS_DRIFT,
-    COVARIATE_DRIFT,
-    JOINT_DRIFT,
-    CONDITIONED_COVARIATE_DRIFT,
-    POSTERIOR_DRIFT,
     TOTAL_VARIATION,
     HELLINGER,
+    MEASURE_ROLES,
     MEASUREMENT_FIELDS,
     compute_drift,
     rows_to_csv,
@@ -90,17 +86,15 @@ def _parse_measure(text: str, schema: AttributeSchema) -> tuple[str, AttributeSu
     kind = kind.strip().replace("-", "_")
     names = tuple(a.strip() for a in attrs.split(",") if a.strip())
     covariates = names or schema.covariate_names
-    if kind == CLASS_DRIFT:
-        if names:
-            raise CliError(f"measure 'class' takes no attributes, got {text!r}")
-        subset = AttributeSubset.class_only(schema.class_attribute)
-    elif kind == JOINT_DRIFT:
-        subset = AttributeSubset.joint(covariates, schema.class_attribute)
-    elif kind in (COVARIATE_DRIFT, CONDITIONED_COVARIATE_DRIFT, POSTERIOR_DRIFT):
-        subset = AttributeSubset.covariates(covariates)
-    else:
+    if kind not in MEASURE_ROLES:
         raise CliError(f"unknown measure kind {kind!r}")
-    return kind, subset
+    if MEASURE_ROLES[kind] == CLASS_ONLY:
+        if names:
+            raise CliError(f"measure {kind!r} takes no attributes, got {text!r}")
+        return kind, AttributeSubset.class_only(schema.class_attribute)
+    if MEASURE_ROLES[kind] == JOINT:
+        return kind, AttributeSubset.joint(covariates, schema.class_attribute)
+    return kind, AttributeSubset.covariates(covariates)
 
 
 def _measure_specs(texts, schema: AttributeSchema, distance: str) -> tuple[MeasureSpec, ...]:
@@ -179,26 +173,26 @@ def _load_pipeline(args) -> tuple[dict, AttributeSchema, EncodedDataset, str]:
     fmt = args.format or ("arff" if data_path.suffix.lower() == ".arff" else "csv")
     raw = ingest_records(data_bytes, fmt, schema)
 
-    bins = args.bins
-    if bins is None:
-        bins = discretization.get("bins")
-    if bins is None:
-        bins = DEFAULT_BIN_COUNT
-    sidecar = {}
+    # a sidecar fixes the bins, so --bins enters the hash only when fitting
     if args.discretizer:
         sidecar_text = Path(args.discretizer).read_text()
         discretizer = Discretizer.from_json(sidecar_text, schema)
-        sidecar["discretizer_sha256"] = hashlib.sha256(sidecar_text.encode()).hexdigest()
+        fitting = {"discretizer_sha256": hashlib.sha256(sidecar_text.encode()).hexdigest()}
     else:
+        bins = args.bins
+        if bins is None:
+            bins = discretization.get("bins")
+        if bins is None:
+            bins = DEFAULT_BIN_COUNT
         discretizer = fit_discretizer(raw, bins)
+        fitting = {"bins": bins}
     encoded = apply_discretizer(raw, discretizer)
 
     seed = _provenance_hash({
         "config_sha256": hashlib.sha256(config_text.encode()).hexdigest(),
         "data_sha256": hashlib.sha256(data_bytes).hexdigest(),
-        "bins": bins,
         "format": fmt,
-        **sidecar,
+        **fitting,
     })
     return analysis, schema, encoded, seed
 
@@ -251,8 +245,7 @@ def cmd_measure(args) -> dict:
     analysis, schema, encoded, seed = _load_pipeline(args)
     window_a, window_b = map(_parse_interval, (args.window_a, args.window_b))
     distance = _distance(args, analysis)
-    measure_args = args.measure or ["joint", "covariate", "class",
-                                    "conditioned_covariate", "posterior"]
+    measure_args = args.measure or list(MEASURE_ROLES)
     results = [compute_drift(encoded, window_a, window_b, m.measure_kind, m.subset, distance)
                for m in _measure_specs(measure_args, schema, distance)]
 

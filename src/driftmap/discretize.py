@@ -73,6 +73,9 @@ class Discretizer:
     def from_json(cls, text: str, schema: AttributeSchema) -> "Discretizer":
         """A sidecar written by :meth:`to_json`, checked against ``schema``."""
         doc = json.loads(text)
+        for section in ("bin_count", "cut_points", "label_codes"):
+            if section not in doc:
+                raise DiscretizationError(f"discretizer sidecar lacks the {section!r} section")
         cut_points = {k: tuple(v) for k, v in doc["cut_points"].items()}
         label_codes = {k: {lbl: int(c) for lbl, c in d.items()}
                        for k, d in doc["label_codes"].items()}
@@ -159,14 +162,12 @@ def _equal_frequency_cuts(values: np.ndarray, bin_count: int) -> tuple[float, ..
     # cumulative count at the end of each distinct-value run
     run_ends = np.append(first_index[1:], n)
 
+    # candidate boundaries are the run ends (excluding the final one,
+    # which would create an empty top bin)
+    candidates = run_ends[:-1]
     cut_values = []
     for i in range(1, bin_count):
         ideal = i * n / bin_count
-        # candidate boundaries are the run ends (excluding the final one,
-        # which would create an empty top bin)
-        candidates = run_ends[:-1]
-        if len(candidates) == 0:
-            break
         deltas = np.abs(candidates - ideal)
         best = int(np.argmin(deltas))  # argmin takes the first, i.e. lower, boundary on ties
         cut_values.append(float(distinct[best]))

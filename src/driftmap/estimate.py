@@ -123,15 +123,18 @@ class DistributionEstimate:
         """Sum out all attributes except ``keep_names`` (order preserved)."""
         keep_names = tuple(keep_names)
         keep = [self.subset.names.index(n) for n in keep_names]
+        # joint subsets carry the class attribute last (see .joint())
+        class_name = self.subset.names[-1] if self.subset.role != COVARIATES else None
+        if class_name in keep_names[:-1]:
+            raise EstimationError(f"the class attribute {class_name!r} must be kept last, "
+                                  f"got {keep_names}")
         merged: dict[tuple[int, ...], float] = {}
         for key, p in self.support.items():
             sub = tuple(key[i] for i in keep)
             merged[sub] = merged.get(sub, 0.0) + p
-        # joint subsets carry the class attribute last (see .joint())
-        class_kept = self.subset.role != COVARIATES and self.subset.names[-1] in keep_names
-        if not class_kept:
+        if class_name not in keep_names:
             role = COVARIATES
-        elif keep_names == (self.subset.names[-1],):
+        elif keep_names == (class_name,):
             role = CLASS_ONLY
         else:
             role = JOINT

@@ -14,15 +14,15 @@ import json
 from dataclasses import dataclass, field
 
 from .discretize import EncodedDataset
-from .estimate import AttributeSubset, TimeInterval, count_table, select_window
+from .estimate import AttributeSubset, TimeInterval
 from .estimate import estimate_conditional  # noqa: F401 - a call point perfbench/spans.py wraps
+from .measures import distance_function  # noqa: F401 - a call point perfbench/spans.py wraps
 from .measures import (
     STATUS_INSUFFICIENT,
     STATUS_OK,
     TOTAL_VARIATION,
-    conditional_distances,
-    distance_function,
     marginal_drift,
+    pair_distances,
     posterior_drift,
     rows_to_csv,
 )
@@ -183,15 +183,14 @@ def _class_labels(dataset: EncodedDataset) -> tuple[str, ...]:
 
 def _per_class_distances(dataset, window_a, window_b, names, distance_kind) -> list:
     """Inner (unweighted) distance of the conditionals over ``names`` for
-    each class code, read out of one count table of the window pair.
+    each class code, read out of one reduction of the window pair.
 
     One-sided support maps to 1.0; a class absent from both windows is an
     insufficient-data cell (None).
     """
     AttributeSubset.covariates(names).validate_against(dataset)
-    keys, counts = count_table((dataset.schema.class_attribute,) + names,
-                               select_window(dataset, window_a), select_window(dataset, window_b))
-    classes, _, _, d = conditional_distances(keys, counts, 1, distance_function(distance_kind))
+    classes, _, _, d = pair_distances(dataset, window_a, window_b,
+                                      (dataset.schema.class_attribute,), names, distance_kind)
     found = dict(zip(classes[:, 0].tolist(), d.tolist()))
     return [found.get(code) for code in range(len(_class_labels(dataset)))]
 

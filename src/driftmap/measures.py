@@ -4,7 +4,7 @@ Plain distances (total variation, Hellinger) between marginal estimates,
 plus the two weighted conditional measures: conditioned covariate drift
 (per-class covariate distances weighted by average class probability) and
 posterior drift (per-tuple class distances weighted by average covariate
-tuple probability). Every measure is a reduction of one ``count_table``.
+tuple probability). Every window-pair measure and map cell is one ``pair_distances`` call.
 """
 
 from __future__ import annotations
@@ -34,10 +34,13 @@ CLASS_DRIFT = "class"
 CONDITIONED_COVARIATE_DRIFT = "conditioned_covariate"
 POSTERIOR_DRIFT = "posterior"
 
-_ROLE_TO_KIND = {
-    COVARIATES: COVARIATE_DRIFT,
-    CLASS_ONLY: CLASS_DRIFT,
-    JOINT: JOINT_DRIFT,
+# every measure kind and the subset role it takes; a role's first kind is its marginal one
+MEASURE_ROLES = {
+    JOINT_DRIFT: JOINT,
+    COVARIATE_DRIFT: COVARIATES,
+    CLASS_DRIFT: CLASS_ONLY,
+    CONDITIONED_COVARIATE_DRIFT: COVARIATES,
+    POSTERIOR_DRIFT: COVARIATES,
 }
 
 
@@ -153,23 +156,25 @@ def hellinger(p: DistributionEstimate, q: DistributionEstimate) -> float:
     return _estimate_distance(HELLINGER, p, q)
 
 
-def conditional_distances(keys, counts, k: int, dist):
-    """Per conditioning tuple of a two-window ``count_table`` (a run of keys
-    sharing their first ``k`` codes): the tuple, its count in each window,
-    and the distance ``dist`` between the two windows' conditionals of the
-    other codes.
+def pair_distances(dataset, window_a, window_b, conditioning, target, distance_kind):
+    """Count the window pair over ``conditioning + target`` and reduce it per
+    conditioning tuple seen in either window (one empty tuple when there is
+    no conditioning): the tuples, their count in each window, and the
+    distance between the two windows' conditionals of ``target``.
 
     A tuple observed in only one window has an undefined conditional on the
     other side; its distance is taken as 1.0 (the conditional's entire mass
     appeared or disappeared), which keeps every measure symmetric.
     """
-    starts, group = key_runs(keys, k)
-    a, b = counts
+    dist = distance_function(distance_kind)
+    keys, (a, b) = count_table(conditioning + target, select_window(dataset, window_a),
+                               select_window(dataset, window_b))
+    starts, group = key_runs(keys, len(conditioning))
     m_a, m_b = np.add.reduceat(a, starts), np.add.reduceat(b, starts)
     with np.errstate(divide="ignore", invalid="ignore"):
         d = dist(a, b, m_a[group], m_b[group], starts)
     d[(m_a == 0) | (m_b == 0)] = 1.0
-    return keys[starts, :k], m_a, m_b, d
+    return keys[starts, :len(conditioning)], m_a, m_b, d
 
 
 def _drift(kind, dataset, window_a, window_b, subset, distance_kind,
@@ -183,16 +188,14 @@ def _drift(kind, dataset, window_a, window_b, subset, distance_kind,
     weights are summed over integer counts, so the sum is exactly 1.0 when
     every inner distance is 1.0 and exactly 0.0 when every one is 0.0.
     """
-    dist = distance_function(distance_kind)
-    if conditioning and subset.role != COVARIATES:
-        raise MeasureError(f"{kind} drift needs a covariates-only subset")
+    if subset.role != MEASURE_ROLES[kind]:
+        raise MeasureError(f"{kind} drift needs a {MEASURE_ROLES[kind]} subset")
     subset.validate_against(dataset)
-    keys, counts = count_table(conditioning + target, select_window(dataset, window_a),
-                               select_window(dataset, window_b))
-    n_a, n_b = (int(n) for n in counts.sum(axis=1))
+    _, m_a, m_b, d = pair_distances(dataset, window_a, window_b, conditioning, target,
+                                    distance_kind)
+    n_a, n_b = int(m_a.sum()), int(m_b.sum())
     magnitude = None
     if n_a and n_b:
-        _, m_a, m_b, d = conditional_distances(keys, counts, len(conditioning), dist)
         if conditioning:
             magnitude = min(1.0, float((m_a * n_b + m_b * n_a) @ d) / (2 * n_a * n_b))
         else:
@@ -217,7 +220,8 @@ def marginal_drift(
     distance_kind: str = TOTAL_VARIATION,
 ) -> DriftMeasurement:
     """Distance between the two windows' marginal estimates over ``subset``."""
-    return _drift(_ROLE_TO_KIND[subset.role], dataset, window_a, window_b, subset,
+    kind = next(k for k, role in MEASURE_ROLES.items() if role == subset.role)
+    return _drift(kind, dataset, window_a, window_b, subset,
                   distance_kind, (), subset.names)
 
 
@@ -254,14 +258,13 @@ def compute_drift(
     distance_kind: str = TOTAL_VARIATION,
 ) -> DriftMeasurement:
     """Dispatch on measure kind; marginal kinds must agree with subset role."""
+    if measure_kind not in MEASURE_ROLES:
+        raise MeasureError(f"unknown measure kind {measure_kind!r}")
     if measure_kind == CONDITIONED_COVARIATE_DRIFT:
         return conditioned_covariate_drift(dataset, window_a, window_b, subset, distance_kind)
     if measure_kind == POSTERIOR_DRIFT:
         return posterior_drift(dataset, window_a, window_b, subset, distance_kind)
-    if measure_kind in (JOINT_DRIFT, COVARIATE_DRIFT, CLASS_DRIFT):
-        if _ROLE_TO_KIND[subset.role] != measure_kind:
-            raise MeasureError(
-                f"measure kind {measure_kind!r} does not match subset role {subset.role!r}"
-            )
-        return marginal_drift(dataset, window_a, window_b, subset, distance_kind)
-    raise MeasureError(f"unknown measure kind {measure_kind!r}")
+    if MEASURE_ROLES[measure_kind] != subset.role:
+        raise MeasureError(f"measure kind {measure_kind!r} does not match subset role "
+                           f"{subset.role!r}")
+    return marginal_drift(dataset, window_a, window_b, subset, distance_kind)

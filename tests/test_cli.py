@@ -367,3 +367,28 @@ def test_discretizer_sidecar_enters_provenance_hash(workspace, capsys):
         assert run_cli(["measure", *base_args(workspace), *window, *extra]) == 0
         outputs[name] = {Path(f).name for f in capsys.readouterr().out.split()}
     assert len(outputs["fitted"] | outputs["sidecar"] | outputs["other"]) == 6
+
+
+@pytest.mark.parametrize("command, message", [
+    (["series", "--span", "5x"], "unparseable span '5x'"),
+    (["series", "--span", "0"], "span/step must be positive"),
+    (["measure", "--window-a", "5", "--window-b", "100:200"],
+     "window must be START:END ticks, got '5'"),
+], ids=["span-5x", "span-0", "window-a-5"])
+def test_bad_span_or_window_fails_nonzero(workspace, capsys, command, message):
+    rc = run_cli([command[0], *base_args(workspace), *command[1:]])
+    assert rc == 1
+    assert capsys.readouterr().err == f"driftmap: error: {message}\n"
+    assert not (workspace / "out").exists()
+
+
+def test_bins_leave_the_hash_when_a_sidecar_fixes_them(workspace, capsys):
+    assert run_cli(["encode", *base_args(workspace)]) == 0
+    sidecar = next(f for f in capsys.readouterr().out.split()
+                   if Path(f).name.startswith("discretizer_"))
+    outputs = []
+    for bins in ("3", "7"):
+        assert run_cli(["measure", *base_args(workspace), "--discretizer", sidecar,
+                        "--bins", bins, "--window-a", "0:100", "--window-b", "100:200"]) == 0
+        outputs.append({Path(f).name for f in capsys.readouterr().out.split()})
+    assert outputs[0] == outputs[1]

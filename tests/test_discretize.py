@@ -140,8 +140,11 @@ def test_sidecar_round_trip(rng):
     (lambda doc: doc["cut_points"].update(x=[0.5, 0.5]), "'x' must be finite and strictly"),
     (lambda doc: doc["cut_points"].update(x=[0.5, float("inf")]), "'x' must be finite"),
     (lambda doc: doc["label_codes"].update(y={"a": 0, "b": 2}), "'y' must be 0..1"),
+    (lambda doc: doc.pop("cut_points"), "sidecar lacks the 'cut_points' section"),
+    (lambda doc: doc.pop("label_codes"), "sidecar lacks the 'label_codes' section"),
+    (lambda doc: doc.pop("bin_count"), "sidecar lacks the 'bin_count' section"),
 ], ids=["missing-numeric", "missing-categorical", "extra", "decreasing", "repeated",
-        "infinite", "code-gap"])
+        "infinite", "code-gap", "no-cut-points", "no-label-codes", "no-bin-count"])
 def test_sidecar_checked_against_schema(edit, message):
     raw = make_raw([1.0, 2.0, 3.0, 4.0], ["a", "b", "a", "b"])
     doc = json.loads(fit_discretizer(raw, bin_count=3).to_json())

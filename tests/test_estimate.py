@@ -171,3 +171,31 @@ def test_normalization_and_support_bound(rng):
         assert sum(est.support.values()) == pytest.approx(1.0, abs=1e-9)
         assert all(0 < p <= 1 for p in est.support.values())
         assert len(est.support) <= min(n, 3 * 4 * 2)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda ds: AttributeSubset((), "covariates-only"), "attribute subset must be non-empty"),
+    (lambda ds: AttributeSubset(("a0", "a0"), "covariates-only"),
+     "duplicate attributes in subset: ('a0', 'a0')"),
+    (lambda ds: AttributeSubset(("a0",), "nope"), "unknown subset role 'nope'"),
+    (lambda ds: estimate_distribution(select_window(ds, TimeInterval(0, 1)),
+                                      AttributeSubset.covariates(["zz"])),
+     "unknown attributes in subset: ['zz']"),
+], ids=["empty", "duplicated", "unknown-role", "unknown-attribute"])
+def test_bad_subset_fails_loudly(make, message):
+    ds = build_encoded([[0, 0]], [2, 2])
+    with pytest.raises(EstimationError) as info:
+        make(ds)
+    assert str(info.value) == message
+
+
+def test_marginalize_keeps_the_class_last():
+    ds = build_encoded([[0, 0], [1, 1], [1, 0]], [2, 2])
+    joint = estimate_distribution(select_window(ds, TimeInterval(0, 3)),
+                                  AttributeSubset.joint(["a0"], "label"))
+    assert joint.marginalize(("a0",)).subset == AttributeSubset.covariates(["a0"])
+    assert joint.marginalize(("label",)).subset == AttributeSubset.class_only("label")
+    with pytest.raises(EstimationError) as info:
+        joint.marginalize(("label", "a0"))
+    assert str(info.value) == ("the class attribute 'label' must be kept last, "
+                               "got ('label', 'a0')")

@@ -267,3 +267,22 @@ def test_monotonicity_is_enforced_by_map_kind(map_kind, enforced):
             grid.validate()
     else:
         grid.validate()
+
+
+def test_pairwise_joint_map_needs_an_attribute():
+    ds = build_encoded([[0, 0], [1, 1]] * 2, [2, 2])
+    with pytest.raises(GridError) as info:
+        pairwise_joint_map(ds, *two_windows(2), ())
+    assert str(info.value) == "pairwise map needs at least one attribute"
+
+
+def test_validate_rejects_differing_labels():
+    grid = HeatMapGrid(
+        map_kind="pairwise_joint",
+        row_labels=("a", "b"), col_labels=("a", "c"),
+        values=((0.1, 0.2), (0.2, 0.1)),
+        window_a=TimeInterval(0, 1), window_b=TimeInterval(1, 2),
+    )
+    with pytest.raises(GridError) as info:
+        grid.validate()
+    assert str(info.value) == "pairwise grid must have identical row and column labels"

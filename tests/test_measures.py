@@ -9,6 +9,7 @@ from driftmap.measures import (
     STATUS_INSUFFICIENT,
     TOTAL_VARIATION,
     MeasureError,
+    compute_drift,
     conditioned_covariate_drift,
     hellinger,
     marginal_drift,
@@ -282,3 +283,39 @@ class TestInvariantsAndProperties:
         for fn in (marginal_drift, conditioned_covariate_drift, posterior_drift):
             assert fn(ds, a, b, subset).magnitude == 1.0
             assert fn(ds, a, b, subset, HELLINGER).magnitude <= 1.0
+
+
+COVARIATE_A0 = AttributeSubset.covariates(["a0"])
+
+
+@pytest.mark.parametrize("measure, message", [
+    (lambda ds, wa, wb: compute_drift(ds, wa, wb, "nope", COVARIATE_A0),
+     "unknown measure kind 'nope'"),
+    (lambda ds, wa, wb: compute_drift(ds, wa, wb, "joint", COVARIATE_A0),
+     "measure kind 'joint' does not match subset role 'covariates-only'"),
+    (lambda ds, wa, wb: conditioned_covariate_drift(
+        ds, wa, wb, AttributeSubset.joint(["a0"], "label")),
+     "conditioned_covariate drift needs a covariates-only subset"),
+    (lambda ds, wa, wb: posterior_drift(ds, wa, wb, AttributeSubset.class_only("label")),
+     "posterior drift needs a covariates-only subset"),
+    (lambda ds, wa, wb: marginal_drift(ds, wa, wb, COVARIATE_A0, "tvd"),
+     "unknown distance kind 'tvd'"),
+], ids=["unknown-kind", "kind-role-mismatch", "conditioned-on-joint",
+        "posterior-on-class", "unknown-distance"])
+def test_bad_measure_arguments_fail_loudly(measure, message):
+    ds = build_encoded([[0, 0], [1, 1]] * 2, [2, 2])
+    with pytest.raises(MeasureError) as info:
+        measure(ds, TimeInterval(0, 2), TimeInterval(2, 4))
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("distance", [TOTAL_VARIATION, HELLINGER])
+def test_two_empty_windows_report_insufficient(distance):
+    ds = build_encoded([[0, 1, 0], [1, 0, 1]] * 2, [2, 2, 2], timestamps=[10, 11, 12, 13])
+    covariates = AttributeSubset.covariates(["a0", "a1"])
+    for kind, subset in (("joint", AttributeSubset.joint(["a0"], "label")),
+                         ("covariate", covariates),
+                         ("class", AttributeSubset.class_only("label")),
+                         ("conditioned_covariate", covariates), ("posterior", covariates)):
+        m = compute_drift(ds, TimeInterval(0, 5), TimeInterval(5, 9), kind, subset, distance)
+        assert (m.magnitude, m.sample_sizes, m.status) == (None, (0, 0), STATUS_INSUFFICIENT)

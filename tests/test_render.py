@@ -184,3 +184,9 @@ class TestExactLayout:
         style = PlotStyle(vertical_markers=(9, 40), x_label="day <&>",
                           y_label="drift magnitude")
         assert sha256(render_lineplot(drift_series(ds, spec), style)) == LINEPLOT_SHA256
+
+
+def test_empty_grid_rejected():
+    with pytest.raises(ValueError) as info:
+        render_heatmap(grid_of([]))
+    assert str(info.value) == "cannot render an empty grid"

@@ -232,3 +232,40 @@ def test_non_finite_or_out_of_range_timestamp_is_an_ingest_error(tick):
 
 def test_integral_decimal_timestamp_is_accepted():
     assert _ingest_timestamps("5.0", "2", "1e1") == [2, 5, 10]
+
+
+@pytest.mark.parametrize("data, fmt, schema_extra, message", [
+    ("x\n1.0\n", "csv", {}, "columns declared in schema but absent from data: ['y']"),
+    ("x,y\n1.0,a\n", "csv", {"timestamp": {"source": "ts"}},
+     "timestamp column 'ts' absent from data"),
+    ("", "csv", {}, "empty CSV input"),
+    ("x,y\n1.0,a\n", "json", {}, "unknown input format 'json'"),
+], ids=["absent-column", "absent-timestamp", "empty-csv", "format-json"])
+def test_ingest_fails_loudly(data, fmt, schema_extra, message):
+    schema = parse_schema({
+        "attributes": [
+            {"name": "x", "kind": "numeric"},
+            {"name": "y", "kind": "categorical"},
+        ],
+        "class": "y",
+        **schema_extra,
+    })
+    with pytest.raises(IngestError) as info:
+        ingest_records(data, fmt, schema)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"attributes": [{"name": "x", "kind": "text"}, {"name": "y", "kind": "categorical"}],
+      "class": "y"}, "unknown attribute kind 'text' for 'x'"),
+    ({"attributes": [{"name": "y", "kind": "categorical"}], "class": "z"},
+     "class attribute 'z' not declared"),
+    ("- x\n- y\n", "schema config must be a mapping"),
+    ({"class": "y"}, "schema config missing required key: 'attributes'"),
+    ({"attributes": [{"name": "y", "kind": "categorical"}], "class": "y", "timestamp": 5},
+     "timestamp must be a mapping"),
+], ids=["kind-text", "undeclared-class", "not-a-mapping", "no-attributes", "timestamp-5"])
+def test_bad_config_fails_loudly(config, message):
+    with pytest.raises(SchemaError) as info:
+        parse_schema(config)
+    assert str(info.value) == message

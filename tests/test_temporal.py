@@ -216,3 +216,10 @@ def test_serialization_round_trip_types():
     doc = json.loads(series.to_json())
     assert doc["status"] == "ok"
     assert len(doc["points"]) == len(series)
+
+
+def test_empty_dataset_gives_empty_series_with_status():
+    ds = build_encoded(np.zeros((0, 2), dtype=np.int64), [2, 2])
+    series = drift_series(ds, covariate_spec())
+    assert len(series) == 0
+    assert series.status == "empty dataset"
