@@ -80,11 +80,19 @@ def _parse_span(text, schema: AttributeSchema) -> int:
     return value
 
 
+def _name_list(text: str, flag: str) -> tuple[str, ...]:
+    """'attr1,attr2' -> its names; an empty list or name is an error naming ``flag``."""
+    names = tuple(n.strip() for n in text.split(","))
+    if not all(names):
+        raise CliError(f"{flag} needs a comma list of attribute names, got {text!r}")
+    return names
+
+
 def _parse_measure(text: str, schema: AttributeSchema) -> tuple[str, AttributeSubset]:
     """'kind' or 'kind:attr1,attr2' -> (measure_kind, subset)."""
-    kind, _, attrs = text.partition(":")
+    kind, colon, attrs = text.partition(":")
     kind = kind.strip().replace("-", "_")
-    names = tuple(a.strip() for a in attrs.split(",") if a.strip())
+    names = _name_list(attrs, f"--measure {text!r}") if colon else ()
     covariates = names or schema.covariate_names
     if kind not in MEASURE_ROLES:
         raise CliError(f"unknown measure kind {kind!r}")
@@ -167,6 +175,9 @@ def _load_pipeline(args) -> tuple[dict, AttributeSchema, EncodedDataset, str]:
     analysis = check_keys(config.get("analysis"), ANALYSIS_KEYS, "analysis")
     discretization = check_keys(config.get("discretization"), DISCRETIZATION_KEYS,
                                 "discretization")
+    bins = discretization.get("bins", DEFAULT_BIN_COUNT)
+    if not isinstance(bins, int) or isinstance(bins, bool):
+        raise CliError(f"discretization.bins must be an integer, got {bins!r}")
 
     data_path = Path(args.data)
     data_bytes = data_path.read_bytes()
@@ -179,11 +190,7 @@ def _load_pipeline(args) -> tuple[dict, AttributeSchema, EncodedDataset, str]:
         discretizer = Discretizer.from_json(sidecar_text, schema)
         fitting = {"discretizer_sha256": hashlib.sha256(sidecar_text.encode()).hexdigest()}
     else:
-        bins = args.bins
-        if bins is None:
-            bins = discretization.get("bins")
-        if bins is None:
-            bins = DEFAULT_BIN_COUNT
+        bins = bins if args.bins is None else args.bins
         discretizer = fit_discretizer(raw, bins)
         fitting = {"bins": bins}
     encoded = apply_discretizer(raw, discretizer)
@@ -273,7 +280,11 @@ def cmd_series(args) -> dict:
     step = _parse_span(args.step or analysis.get("step", 1), schema)
     span = _parse_span(args.span or analysis.get("span", 1), schema)
     alignment = args.alignment or analysis.get("alignment", ADJACENT)
-    measure_args = args.measure or analysis.get("measures") or ["covariate"]
+    measure_args = args.measure or analysis.get("measures", ["covariate"])
+    if not (isinstance(measure_args, list) and measure_args
+            and all(isinstance(m, str) for m in measure_args)):
+        raise CliError(f"analysis.measures must be a non-empty list of measures, "
+                       f"got {measure_args!r}")
     spec = SweepSpec(compute_step=step, span=span, alignment=alignment,
                      measures=_measure_specs(measure_args, schema, distance))
     series = drift_series(encoded, spec)
@@ -310,7 +321,7 @@ def cmd_map(args) -> dict:
     analysis, schema, encoded, seed = _load_pipeline(args)
     window_a, window_b = map(_parse_interval, (args.window_a, args.window_b))
     distance = _distance(args, analysis)
-    attributes = tuple(a.strip() for a in args.subset.split(",")) if args.subset else None
+    attributes = None if args.subset is None else _name_list(args.subset, "--subset")
     extra = {"include_class": True} if args.classes_on_map else {}
     grids = getattr(maps_mod, _MAP_BUILDERS[args.kind])(
         encoded, window_a, window_b, attributes, distance, **extra)

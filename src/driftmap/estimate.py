@@ -73,17 +73,23 @@ class AttributeSubset:
     def joint(cls, covariate_names, class_name: str) -> "AttributeSubset":
         return cls(tuple(covariate_names) + (class_name,), JOINT)
 
+    @classmethod
+    def of(cls, names, class_name) -> "AttributeSubset":
+        """The one role rule over a name sequence: ``class_name`` goes last and
+        its presence sets the role. A repeated class name stays repeated."""
+        rest = tuple(n for n in names if n != class_name)
+        classes = (class_name,) * (len(names) - len(rest))
+        return cls(rest + classes, COVARIATES if not classes else JOINT if rest else CLASS_ONLY)
+
     def validate_against(self, dataset: EncodedDataset) -> None:
         known = set(dataset.schema.attribute_names)
         unknown = [n for n in self.names if n not in known]
         if unknown:
             raise EstimationError(f"unknown attributes in subset: {unknown}")
-        has_class = dataset.schema.class_attribute in self.names
-        needs_class = self.role in (CLASS_ONLY, JOINT)
-        if has_class != needs_class:
-            raise EstimationError(
-                f"subset role {self.role!r} inconsistent with class attribute presence"
-            )
+        expected = AttributeSubset.of(self.names, dataset.schema.class_attribute)
+        if self != expected:
+            raise EstimationError(f"subset {self.names} as {self.role!r} must be "
+                                  f"{expected.names} as {expected.role!r}")
 
 
 @dataclass(frozen=True)
@@ -123,26 +129,18 @@ class DistributionEstimate:
         """Sum out all attributes except ``keep_names`` (order preserved)."""
         keep_names = tuple(keep_names)
         keep = [self.subset.names.index(n) for n in keep_names]
-        # joint subsets carry the class attribute last (see .joint())
+        # a subset carries its class attribute last (validate_against)
         class_name = self.subset.names[-1] if self.subset.role != COVARIATES else None
-        if class_name in keep_names[:-1]:
+        subset = AttributeSubset.of(keep_names, class_name)
+        if subset.names != keep_names:
             raise EstimationError(f"the class attribute {class_name!r} must be kept last, "
                                   f"got {keep_names}")
         merged: dict[tuple[int, ...], float] = {}
         for key, p in self.support.items():
             sub = tuple(key[i] for i in keep)
             merged[sub] = merged.get(sub, 0.0) + p
-        if class_name not in keep_names:
-            role = COVARIATES
-        elif keep_names == (class_name,):
-            role = CLASS_ONLY
-        else:
-            role = JOINT
-        return DistributionEstimate(
-            subset=AttributeSubset(keep_names, role),
-            support=merged,
-            sample_size=self.sample_size,
-        )
+        return DistributionEstimate(subset=subset, support=merged,
+                                    sample_size=self.sample_size)
 
 
 @dataclass(frozen=True)

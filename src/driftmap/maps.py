@@ -112,8 +112,21 @@ class HeatMapGrid:
         }, indent=2, sort_keys=True)
 
 
-def _pair_subset(a: str, b: str) -> tuple[str, ...]:
-    return (a,) if a == b else (a, b)
+def _attributes(dataset, attributes, map_kind, include_class=False) -> tuple[str, ...]:
+    """One map's attribute list, checked once: None means all covariates, and
+    ``include_class`` appends the class unless listed. An empty list, a repeated
+    or unknown name, or the class on any map but a pairwise joint one fails."""
+    class_name = dataset.schema.class_attribute
+    attributes = tuple(dataset.schema.covariate_names if attributes is None else attributes)
+    if not attributes:
+        shape = "univariate" if map_kind == CONDITIONED_UNIVARIATE else "pairwise"
+        raise GridError(f"{shape} map needs at least one attribute")
+    if include_class and class_name not in attributes:
+        attributes += (class_name,)
+    subset = (AttributeSubset.of(attributes, class_name) if map_kind == PAIRWISE_JOINT
+              else AttributeSubset.covariates(attributes))
+    subset.validate_against(dataset)
+    return attributes
 
 
 def _pairwise_cells(attributes: tuple[str, ...], cell_fn) -> list[list]:
@@ -123,7 +136,8 @@ def _pairwise_cells(attributes: tuple[str, ...], cell_fn) -> list[list]:
     cells: list[list] = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            cells[i][j] = cells[j][i] = cell_fn(_pair_subset(attributes[i], attributes[j]))
+            names = (attributes[i],) if i == j else (attributes[i], attributes[j])
+            cells[i][j] = cells[j][i] = cell_fn(names)
     return cells
 
 
@@ -156,21 +170,10 @@ def pairwise_joint_map(
     The diagonal holds univariate drift. When requested, the class attribute
     joins the grid as an ordinary last row/column, unless already listed.
     """
-    attributes = tuple(dataset.schema.covariate_names if attributes is None else attributes)
-    if not attributes:
-        raise GridError("pairwise map needs at least one attribute")
-    class_name = dataset.schema.class_attribute
-    if include_class and class_name not in attributes:
-        attributes += (class_name,)
+    attributes = _attributes(dataset, attributes, PAIRWISE_JOINT, include_class)
 
     def cell(names):
-        role_names = tuple(x for x in names if x != class_name)
-        if role_names == names:
-            subset = AttributeSubset.covariates(names)
-        elif role_names:
-            subset = AttributeSubset.joint(role_names, class_name)
-        else:
-            subset = AttributeSubset.class_only(class_name)
+        subset = AttributeSubset.of(names, dataset.schema.class_attribute)
         return marginal_drift(dataset, window_a, window_b, subset, distance_kind).magnitude
 
     return _grid(PAIRWISE_JOINT, attributes, attributes, _pairwise_cells(attributes, cell),
@@ -188,7 +191,6 @@ def _per_class_distances(dataset, window_a, window_b, names, distance_kind) -> l
     One-sided support maps to 1.0; a class absent from both windows is an
     insufficient-data cell (None).
     """
-    AttributeSubset.covariates(names).validate_against(dataset)
     classes, _, _, d = pair_distances(dataset, window_a, window_b,
                                       (dataset.schema.class_attribute,), names, distance_kind)
     found = dict(zip(classes[:, 0].tolist(), d.tolist()))
@@ -209,7 +211,7 @@ def conditioned_univariate_map(
     prevalence. Weighting and summing a column family reproduces the scalar
     conditioned covariate drift.
     """
-    attributes = tuple(attributes) if attributes else dataset.schema.covariate_names
+    attributes = _attributes(dataset, attributes, CONDITIONED_UNIVARIATE)
     cells = [_per_class_distances(dataset, window_a, window_b, (attr,), distance_kind)
              for attr in attributes]
     return _grid(CONDITIONED_UNIVARIATE, attributes, _class_labels(dataset), cells,
@@ -224,7 +226,7 @@ def conditioned_pairwise_map(
     distance_kind: str = TOTAL_VARIATION,
 ) -> list[HeatMapGrid]:
     """One attribute-pair grid per class; cells are unweighted inner distances."""
-    attributes = tuple(attributes) if attributes else dataset.schema.covariate_names
+    attributes = _attributes(dataset, attributes, CONDITIONED_PAIRWISE)
     per_class = _pairwise_cells(attributes, lambda names: _per_class_distances(
         dataset, window_a, window_b, names, distance_kind))
     return [_grid(CONDITIONED_PAIRWISE, attributes, attributes,
@@ -245,7 +247,7 @@ def posterior_pairwise_map(
     Posterior cells need not dominate their diagonal (conditioning, not
     conditioned, dimensionality grows), so no monotonicity bound applies.
     """
-    attributes = tuple(attributes) if attributes else dataset.schema.covariate_names
+    attributes = _attributes(dataset, attributes, POSTERIOR_PAIRWISE)
 
     def cell(names):
         subset = AttributeSubset.covariates(names)

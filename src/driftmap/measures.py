@@ -87,15 +87,12 @@ class DriftMeasurement:
 
 
 def rows_to_csv(rows, fields) -> str:
-    """CSV text of dict rows in ``fields`` order. A magnitude is written as
-    its repr, so it reads back as the same float; None becomes an empty cell."""
+    """CSV text of dict rows in ``fields`` order. ``csv`` writes a float as its
+    repr, so a magnitude reads back as the same float; None is an empty cell."""
     out = io.StringIO()
     writer = csv.DictWriter(out, fieldnames=fields, lineterminator="\n")
     writer.writeheader()
-    for row in rows:
-        if row["magnitude"] is not None:
-            row = dict(row, magnitude=repr(row["magnitude"]))
-        writer.writerow(row)
+    writer.writerows(rows)
     return out.getvalue()
 
 

@@ -1,4 +1,8 @@
+import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -392,3 +396,113 @@ def test_bins_leave_the_hash_when_a_sidecar_fixes_them(workspace, capsys):
                         "--bins", bins, "--window-a", "0:100", "--window-b", "100:200"]) == 0
         outputs.append({Path(f).name for f in capsys.readouterr().out.split()})
     assert outputs[0] == outputs[1]
+
+
+def test_python_dash_m_driftmap_runs_the_cli():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    result = subprocess.run([sys.executable, "-m", "driftmap", "--help"], env=env,
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0
+    assert result.stderr == ""
+    assert "usage: driftmap" in result.stdout
+
+
+@pytest.mark.parametrize("argv, flag, value", [
+    (["map", "--kind", "pairwise-joint", "--subset", ""], "--subset", ""),
+    (["map", "--kind", "pairwise-joint", "--subset", "x1,,x2"], "--subset", "x1,,x2"),
+    (["map", "--kind", "posterior-pairwise", "--subset", "x1,"], "--subset", "x1,"),
+    (["measure", "--measure", "covariate:"], "--measure 'covariate:'", ""),
+    (["measure", "--measure", "covariate:x1,,x2"], "--measure 'covariate:x1,,x2'", "x1,,x2"),
+    (["measure", "--measure", "joint: "], "--measure 'joint: '", " "),
+], ids=["subset-empty", "subset-empty-item", "subset-trailing-comma",
+        "measure-empty", "measure-empty-item", "measure-blank"])
+def test_empty_attribute_list_or_name_fails_nonzero(workspace, capsys, argv, flag, value):
+    rc = run_cli([argv[0], *base_args(workspace), *argv[1:],
+                  "--window-a", "0:200", "--window-b", "200:400"])
+    assert rc == 1
+    assert capsys.readouterr().err == (f"driftmap: error: {flag} needs a comma list of "
+                                       f"attribute names, got {value!r}\n")
+    assert not (workspace / "out").exists()
+
+
+@pytest.mark.parametrize("subset", ["x1,x1", "x1,label,label"])
+def test_map_subset_with_a_repeated_name_fails_nonzero(workspace, capsys, subset):
+    rc = run_cli(["map", *base_args(workspace), "--kind", "pairwise-joint",
+                  "--subset", subset, "--window-a", "0:200", "--window-b", "200:400"])
+    assert rc == 1
+    assert "duplicate attributes in subset" in capsys.readouterr().err
+    assert not (workspace / "out").exists()
+
+
+@pytest.mark.parametrize("section, message", [
+    ("analysis:\n  measures: []\n", "analysis.measures must be a non-empty list of "
+                                    "measures, got []"),
+    ("analysis:\n  measures:\n", "analysis.measures must be a non-empty list of "
+                                  "measures, got None"),
+    ("analysis:\n  measures: covariate\n", "analysis.measures must be a non-empty list "
+                                            "of measures, got 'covariate'"),
+    ("analysis:\n  measures: [1]\n", "analysis.measures must be a non-empty list of "
+                                     "measures, got [1]"),
+], ids=["empty", "null", "string", "not-a-string"])
+def test_bad_config_measures_fail_nonzero(workspace, capsys, section, message):
+    (workspace / "config.yaml").write_text(CONFIG + section)
+    rc = run_cli(["series", *base_args(workspace), "--span", "50"])
+    assert rc == 1
+    assert capsys.readouterr().err == f"driftmap: error: {message}\n"
+    assert not (workspace / "out").exists()
+
+
+def _csv_rows(path):
+    return list(csv.DictReader(Path(path).read_text().splitlines()))
+
+
+def test_config_measures_list_is_read(workspace, capsys):
+    (workspace / "config.yaml").write_text(CONFIG + "analysis:\n  measures: [class]\n")
+    assert run_cli(["series", *base_args(workspace), "--span", "50",
+                    "--format-out", "csv"]) == 0
+    rows = _csv_rows(capsys.readouterr().out.strip())
+    assert rows and {r["measure_kind"] for r in rows} == {"class"}
+
+
+@pytest.mark.parametrize("value", ["", " null", ' "3"', " true"],
+                         ids=["empty", "null", "string", "bool"])
+@pytest.mark.parametrize("extra", [[], ["--bins", "4"]], ids=["config", "with-bins-flag"])
+def test_bad_config_bins_fail_nonzero(workspace, capsys, value, extra):
+    (workspace / "config.yaml").write_text(CONFIG.replace("  bins: 3\n", f"  bins:{value}\n"))
+    rc = run_cli(["encode", *base_args(workspace), *extra])
+    assert rc == 1
+    assert "discretization.bins must be an integer, got" in capsys.readouterr().err
+    assert not (workspace / "out").exists()
+
+
+def test_series_consecutive_alignment_windows_end_at_the_point(workspace, capsys):
+    span = 50
+    rc = run_cli(["series", *base_args(workspace), "--span", str(span), "--step", "25",
+                  "--alignment", "consecutive", "--format-out", "csv"])
+    assert rc == 0
+    rows = _csv_rows(capsys.readouterr().out.strip())
+    assert rows
+    for row in rows:
+        time = int(row["time"])
+        assert int(row["window_b_end"]) == time
+        assert int(row["window_a_end"]) == time - span
+
+
+def test_format_arff_overrides_the_file_extension(workspace, capsys):
+    lines = (workspace / "data.csv").read_text().splitlines()[1:]
+    arff = "\n".join(["@relation stream", "@attribute x1 numeric", "@attribute x2 numeric",
+                      "@attribute x3 {c0,c1,c2}", "@attribute label {neg,pos}", "@data",
+                      *lines]) + "\n"
+    (workspace / "data.arff").write_text(arff)
+    (workspace / "data.txt").write_text(arff)
+    window = ["--window-a", "0:200", "--window-b", "200:400", "--format-out", "csv"]
+    outputs = []
+    for name, extra in (("data.arff", []), ("data.txt", ["--format", "arff"])):
+        out = workspace / f"out_{name}"
+        rc = run_cli(["measure", "--config", str(workspace / "config.yaml"),
+                      "--data", str(workspace / name), "--out", str(out), *window, *extra])
+        assert rc == 0
+        outputs.append(Path(capsys.readouterr().out.strip()).read_text())
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count("\n") == 6  # header + the five measures

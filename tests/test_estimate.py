@@ -199,3 +199,47 @@ def test_marginalize_keeps_the_class_last():
         joint.marginalize(("label", "a0"))
     assert str(info.value) == ("the class attribute 'label' must be kept last, "
                                "got ('label', 'a0')")
+
+
+@pytest.mark.parametrize("names, expected", [
+    (("a0", "a1"), AttributeSubset.covariates(["a0", "a1"])),
+    (("label",), AttributeSubset.class_only("label")),
+    (("a0", "label"), AttributeSubset.joint(["a0"], "label")),
+    (("label", "a1", "a0"), AttributeSubset.joint(["a1", "a0"], "label")),
+], ids=["covariates", "class-only", "joint", "class-moves-last"])
+def test_of_puts_the_class_last_and_sets_the_role(names, expected):
+    assert AttributeSubset.of(names, "label") == expected
+
+
+@pytest.mark.parametrize("names", [("label", "label"), ("a0", "label", "label")])
+def test_of_keeps_a_repeated_class_repeated(names):
+    with pytest.raises(EstimationError, match="duplicate attributes in subset"):
+        AttributeSubset.of(names, "label")
+
+
+@pytest.mark.parametrize("subset, message", [
+    (AttributeSubset(("label", "a0"), "covariates-plus-class"),
+     "subset ('label', 'a0') as 'covariates-plus-class' must be "
+     "('a0', 'label') as 'covariates-plus-class'"),
+    (AttributeSubset(("a0", "label"), "covariates-only"),
+     "subset ('a0', 'label') as 'covariates-only' must be "
+     "('a0', 'label') as 'covariates-plus-class'"),
+    (AttributeSubset(("a0",), "class-only"),
+     "subset ('a0',) as 'class-only' must be ('a0',) as 'covariates-only'"),
+], ids=["class-first", "class-in-covariates", "covariate-as-class"])
+def test_validate_against_applies_the_role_rule(subset, message):
+    ds = build_encoded([[0, 0], [1, 1]], [2, 2])
+    with pytest.raises(EstimationError) as info:
+        estimate_distribution(select_window(ds, TimeInterval(0, 2)), subset)
+    assert str(info.value) == message
+
+
+def test_marginalize_labels_a_kept_covariate_as_a_covariate():
+    ds = build_encoded([[0, 0, 1], [1, 1, 0]], [2, 2, 2])
+    window = select_window(ds, TimeInterval(0, 2))
+    # a class-first joint subset no longer yields an estimate to marginalize
+    with pytest.raises(EstimationError):
+        estimate_distribution(window, AttributeSubset(("label", "a0"), "covariates-plus-class"))
+    joint = estimate_distribution(window, AttributeSubset.joint(["a1", "a0"], "label"))
+    assert joint.marginalize(("a0",)).subset == AttributeSubset.covariates(["a0"])
+    assert joint.marginalize(("a0", "label")).subset == AttributeSubset.joint(["a0"], "label")

@@ -1,9 +1,10 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
-from driftmap.estimate import AttributeSubset, TimeInterval
+from driftmap.estimate import AttributeSubset, EstimationError, TimeInterval
 from driftmap.maps import (
     GridError,
     HeatMapGrid,
@@ -286,3 +287,49 @@ def test_validate_rejects_differing_labels():
     with pytest.raises(GridError) as info:
         grid.validate()
     assert str(info.value) == "pairwise grid must have identical row and column labels"
+
+
+_BUILDERS = [pairwise_joint_map, conditioned_univariate_map, conditioned_pairwise_map,
+             posterior_pairwise_map]
+_BUILDER_IDS = ["pairwise-joint", "conditioned-univariate", "conditioned-pairwise",
+                "posterior-pairwise"]
+
+
+@pytest.mark.parametrize("build, shape", zip(_BUILDERS, ["pairwise", "univariate",
+                                                        "pairwise", "pairwise"]),
+                         ids=_BUILDER_IDS)
+def test_every_builder_rejects_an_empty_attribute_list(build, shape):
+    ds = build_encoded([[0, 0, 0], [1, 1, 1]] * 2, [2, 2, 2])
+    with pytest.raises(GridError) as info:
+        build(ds, *two_windows(2), ())
+    assert str(info.value) == f"{shape} map needs at least one attribute"
+
+
+@pytest.mark.parametrize("build", _BUILDERS, ids=_BUILDER_IDS)
+@pytest.mark.parametrize("attributes, message", [
+    (("a0", "a0"), "duplicate attributes in subset"),
+    (("a0", "zz"), "unknown attributes in subset: ['zz']"),
+], ids=["repeated", "unknown"])
+def test_every_builder_rejects_repeated_or_unknown_names_before_counting(
+        build, attributes, message, monkeypatch):
+    ds = build_encoded([[0, 0, 0], [1, 1, 1]] * 2, [2, 2, 2])
+    monkeypatch.setattr("driftmap.measures.count_table", None)  # counting would fail
+    with pytest.raises(EstimationError, match=re.escape(message)):
+        build(ds, *two_windows(2), attributes)
+
+
+@pytest.mark.parametrize("attributes, include_class", [
+    (("label", "a0", "label"), False),
+    (("a0", "label", "label"), True),
+], ids=["listed-twice", "listed-twice-with-include-class"])
+def test_pairwise_joint_map_rejects_a_repeated_class(attributes, include_class):
+    ds = build_encoded([[0, 0, 0], [1, 1, 1]] * 2, [2, 2, 2])
+    with pytest.raises(EstimationError, match="duplicate attributes in subset"):
+        pairwise_joint_map(ds, *two_windows(2), attributes, include_class=include_class)
+
+
+@pytest.mark.parametrize("build", _BUILDERS[1:], ids=_BUILDER_IDS[1:])
+def test_class_conditioned_builders_reject_the_class_attribute(build):
+    ds = build_encoded([[0, 0, 0], [1, 1, 1]] * 2, [2, 2, 2])
+    with pytest.raises(EstimationError, match="as 'covariates-only' must be"):
+        build(ds, *two_windows(2), ("a0", "label"))
