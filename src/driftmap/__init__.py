@@ -58,9 +58,17 @@ from .maps import (
     posterior_pairwise_map,
 )
 from .render import PlotStyle, render_heatmap, render_lineplot
-from .cli import run_cli
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # run_cli is imported on first use, so that ``python -m driftmap.cli`` does
+    # not find driftmap.cli already imported by the package
+    if name == "run_cli":
+        from .cli import run_cli
+        return run_cli
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "Attribute",

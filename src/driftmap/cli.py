@@ -105,6 +105,17 @@ def _parse_measure(text: str, schema: AttributeSchema) -> tuple[str, AttributeSu
     return kind, AttributeSubset.covariates(covariates)
 
 
+def _measure_args(args, analysis: dict, default: list[str]) -> list[str]:
+    """The --measure values, else ``analysis.measures``, else ``default``;
+    the config's list must be a non-empty list of strings."""
+    measure_args = args.measure or analysis.get("measures", default)
+    if not (isinstance(measure_args, list) and measure_args
+            and all(isinstance(m, str) for m in measure_args)):
+        raise CliError(f"analysis.measures must be a non-empty list of measures, "
+                       f"got {measure_args!r}")
+    return measure_args
+
+
 def _measure_specs(texts, schema: AttributeSchema, distance: str) -> tuple[MeasureSpec, ...]:
     """--measure values -> MeasureSpecs; naming one measure twice is an error."""
     specs = tuple(MeasureSpec(*_parse_measure(text, schema), distance_kind=distance)
@@ -252,7 +263,7 @@ def cmd_measure(args) -> dict:
     analysis, schema, encoded, seed = _load_pipeline(args)
     window_a, window_b = map(_parse_interval, (args.window_a, args.window_b))
     distance = _distance(args, analysis)
-    measure_args = args.measure or list(MEASURE_ROLES)
+    measure_args = _measure_args(args, analysis, list(MEASURE_ROLES))
     results = [compute_drift(encoded, window_a, window_b, m.measure_kind, m.subset, distance)
                for m in _measure_specs(measure_args, schema, distance)]
 
@@ -280,11 +291,7 @@ def cmd_series(args) -> dict:
     step = _parse_span(args.step or analysis.get("step", 1), schema)
     span = _parse_span(args.span or analysis.get("span", 1), schema)
     alignment = args.alignment or analysis.get("alignment", ADJACENT)
-    measure_args = args.measure or analysis.get("measures", ["covariate"])
-    if not (isinstance(measure_args, list) and measure_args
-            and all(isinstance(m, str) for m in measure_args)):
-        raise CliError(f"analysis.measures must be a non-empty list of measures, "
-                       f"got {measure_args!r}")
+    measure_args = _measure_args(args, analysis, ["covariate"])
     spec = SweepSpec(compute_step=step, span=span, alignment=alignment,
                      measures=_measure_specs(measure_args, schema, distance))
     series = drift_series(encoded, spec)

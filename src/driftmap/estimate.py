@@ -1,9 +1,11 @@
 """Window selection, the counting kernel and maximum-likelihood estimates.
 
-Every estimate and measure counts code rows with one kernel,
-``count_table``: the code rows of an attribute list are encoded as
-mixed-radix integer keys, compacted with one ``np.unique`` over all the
-windows counted together, and bincounted per window. Estimates are sparse:
+Every estimate and measure compacts code rows with one helper,
+``key_ids``: the code rows of an attribute list are encoded as mixed-radix
+integer keys and compacted with one ``np.unique`` over all the records
+counted together. ``count_table`` bincounts them per window for the
+estimates; ``measures.pair_distances`` bincounts them per segment between
+window edges for any number of window pairs. Estimates are sparse:
 only observed code tuples are stored, absent tuples mean probability zero.
 Records missing a value on any attribute of the subset under analysis are
 dropped from that subset's counts only.
@@ -169,30 +171,50 @@ def select_window(dataset: EncodedDataset, interval: TimeInterval) -> WindowView
     return WindowView(dataset=dataset, interval=interval, lo=lo, hi=hi)
 
 
+def key_ids(dataset: EncodedDataset, names, records) -> tuple[np.ndarray, np.ndarray]:
+    """The row compaction of the counting kernel over the records at the
+    indices ``records``: ``keys`` (K x len(names)), every code row over
+    ``names`` seen once, sorted lexicographically so that rows sharing their
+    leading codes are contiguous, and each record's row number in ``keys``,
+    -1 for a record missing a value on any of ``names``. Rows are compacted
+    with one ``np.unique`` as mixed-radix int64 keys, or as rows when the key
+    space would not fit an int64.
+    """
+    ids = np.full(len(records), -1)
+    cols = dataset.column_indices(names)
+    cards = [dataset.cardinalities[c] for c in cols]
+    if math.prod(cards) > MAX_KEY_SPACE:
+        rows = dataset.codes[np.ix_(records, cols)]
+        usable = (rows != MISSING_CODE).all(axis=1)
+        keys, inverse = np.unique(rows[usable], axis=0, return_inverse=True)
+    else:
+        key = np.zeros(len(records), dtype=np.int64)
+        usable = np.ones(len(records), dtype=bool)
+        for c, card in zip(cols, cards):
+            column = dataset.codes[records, c]
+            usable &= column != MISSING_CODE
+            key *= card
+            key += column
+        codes, inverse = np.unique(key[usable], return_inverse=True)
+        strides = np.cumprod(np.append(1, cards[:0:-1]))[::-1]
+        keys = codes[:, None] // strides % cards
+    ids[usable] = inverse.reshape(-1)
+    return keys, ids
+
+
 def count_table(names, *windows: WindowView) -> tuple[np.ndarray, np.ndarray]:
     """The counting kernel: counts of the code rows over ``names`` in each
     of one or more windows, over one shared key space.
 
-    Returns ``keys`` (K x len(names)), every code row seen in any window
-    once, sorted lexicographically so that rows sharing their leading codes
-    are contiguous, and ``counts`` (windows x K, int64). Records missing a
-    value on any of ``names`` are dropped. Rows are compacted as mixed-radix
-    int64 keys, or as rows when the key space would not fit an int64.
+    Returns ``keys``, every code row seen in any window once, as
+    ``key_ids`` sorts them, and ``counts`` (windows x K, int64). Records
+    missing a value on any of ``names`` are dropped.
     """
-    dataset = windows[0].dataset
-    cols = dataset.column_indices(names)
-    rows = np.concatenate([dataset.codes[w.lo:w.hi, cols] for w in windows])
+    records = np.concatenate([np.arange(w.lo, w.hi) for w in windows])
     window_of = np.repeat(np.arange(len(windows)), [w.record_count for w in windows])
-    usable = (rows != MISSING_CODE).all(axis=1)
-    cards = np.array([dataset.cardinalities[c] for c in cols], dtype=np.int64)
-    if math.prod(cards.tolist()) > MAX_KEY_SPACE:
-        keys, inverse = np.unique(rows[usable], axis=0, return_inverse=True)
-        inverse = inverse.reshape(-1)
-    else:
-        strides = np.cumprod(np.append(1, cards[:0:-1]))[::-1]
-        codes, inverse = np.unique((rows[usable] * strides).sum(axis=1), return_inverse=True)
-        keys = codes[:, None] // strides % cards
-    counts = np.bincount(window_of[usable] * len(keys) + inverse,
+    keys, ids = key_ids(windows[0].dataset, names, records)
+    usable = ids >= 0
+    counts = np.bincount(window_of[usable] * len(keys) + ids[usable],
                          minlength=len(windows) * len(keys))
     return keys, counts.reshape(len(windows), len(keys))
 

@@ -191,8 +191,8 @@ def _per_class_distances(dataset, window_a, window_b, names, distance_kind) -> l
     One-sided support maps to 1.0; a class absent from both windows is an
     insufficient-data cell (None).
     """
-    classes, _, _, d = pair_distances(dataset, window_a, window_b,
-                                      (dataset.schema.class_attribute,), names, distance_kind)
+    [(classes, _, _, d)] = pair_distances(dataset, [(window_a, window_b)],
+                                          (dataset.schema.class_attribute,), names, distance_kind)
     found = dict(zip(classes[:, 0].tolist(), d.tolist()))
     return [found.get(code) for code in range(len(_class_labels(dataset)))]
 

@@ -4,20 +4,25 @@ Plain distances (total variation, Hellinger) between marginal estimates,
 plus the two weighted conditional measures: conditioned covariate drift
 (per-class covariate distances weighted by average class probability) and
 posterior drift (per-tuple class distances weighted by average covariate
-tuple probability). Every window-pair measure and map cell is one ``pair_distances`` call.
+tuple probability). ``pair_distances`` is the one window-pair reduction: it
+takes any number of window pairs at once, so a measure or a per-class map
+cell passes one pair and a sweep passes all its points in one call.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .discretize import EncodedDataset
 from .estimate import CLASS_ONLY, COVARIATES, JOINT, AttributeSubset, DistributionEstimate
-from .estimate import TimeInterval, count_table, key_runs, select_window
+from .estimate import TimeInterval, key_ids, key_runs
+# only key_ids is called here; tests/test_maps.py patches count_table here as well
+from .estimate import count_table  # noqa: F401
 # call points that perfbench/spans.py wraps; no measure calls them
 from .estimate import estimate_conditional, estimate_distribution  # noqa: F401
 
@@ -42,6 +47,11 @@ MEASURE_ROLES = {
     CONDITIONED_COVARIATE_DRIFT: COVARIATES,
     POSTERIOR_DRIFT: COVARIATES,
 }
+
+
+# cells (window pairs x possible keys or records) per chunk of pair_distances; bounds
+# its working memory
+CHUNK_CELLS = 1 << 16
 
 
 class MeasureError(ValueError):
@@ -97,33 +107,44 @@ def rows_to_csv(rows, fields) -> str:
 
 
 def _grouped_tvd(a, b, ra, rb, starts) -> np.ndarray:
-    """Per group of keys, half the L1 distance between a/ra and b/rb.
+    """Per row and group of keys, half the L1 distance between a/ra and b/rb.
 
-    ``a``, ``b`` are per-key masses and ``ra``, ``rb`` the totals of each
-    key's group. On integer counts, sum|a*rb - b*ra| / (2*ra*rb) stays
-    exact up to the last division: exactly 0.0 for proportional counts and
-    never above 1.0.
+    ``a``, ``b`` are per-key masses (rows x keys) and ``ra``, ``rb`` the
+    totals of each key's group. On integer counts, sum|a*rb - b*ra| /
+    (2*ra*rb) stays exact up to the last division: exactly 0.0 for
+    proportional counts and never above 1.0. A key counted in neither window
+    adds an exact 0, so whole rows are summed at once.
     """
-    num = np.add.reduceat(np.abs(a * rb - b * ra), starts)
-    return np.minimum(1.0, num / (2 * ra[starts] * rb[starts]))
+    num = np.add.reduceat(np.abs(a * rb - b * ra), starts, axis=-1)
+    return np.minimum(1.0, num / (2 * ra[..., starts] * rb[..., starts]))
 
 
 def _grouped_hellinger(a, b, ra, rb, starts) -> np.ndarray:
-    """Per group of keys, the Hellinger distance between a/ra and b/rb.
+    """Per row and group of keys, the Hellinger distance between a/ra and b/rb.
 
     Computed as sqrt(0.5 * sum((sqrt p - sqrt q)^2)) rather than the
     algebraically equal sqrt(1 - sum(sqrt(p*q))): the latter amplifies
-    rounding near zero (sqrt of a ~1e-16 residual is ~1e-8).
+    rounding near zero (sqrt of a ~1e-16 residual is ~1e-8). A row with
+    keys that neither window counts sums over its other keys only: a zero
+    term would move numpy's pairwise summation, and so the rounding, away
+    from that of the row's own keys.
     """
     sq = (np.sqrt(a / ra) - np.sqrt(b / rb)) ** 2
-    return np.minimum(1.0, np.sqrt(0.5 * np.add.reduceat(sq, starts)))
+    sums = np.add.reduceat(sq, starts, axis=-1)
+    for i in np.flatnonzero(~(a + b).all(axis=-1)):
+        keys = np.flatnonzero(a[i] + b[i])
+        edge = np.searchsorted(keys, starts)  # each group's first key in ``keys``
+        kept = np.flatnonzero(np.diff(edge, append=len(keys)))
+        sums[i] = 0.0
+        sums[i, kept] = np.add.reduceat(sq[i, keys], edge[kept])
+    return np.minimum(1.0, np.sqrt(0.5 * sums))
 
 
 _DISTANCES = {TOTAL_VARIATION: _grouped_tvd, HELLINGER: _grouped_hellinger}
 
 
 def distance_function(distance_kind: str):
-    """The grouped distance ``(a, b, ra, rb, starts) -> per-group distances``."""
+    """The grouped distance ``(a, b, ra, rb, starts) -> distances``, rows x groups."""
     try:
         return _DISTANCES[distance_kind]
     except KeyError:
@@ -138,9 +159,9 @@ def _estimate_distance(distance_kind, p: DistributionEstimate, q: DistributionEs
     if p.is_empty or q.is_empty:
         raise MeasureError("cannot measure distance to an empty estimate")
     keys = p.support.keys() | q.support.keys()
-    a, b = (np.array([e.probability(k) for k in keys]) for e in (p, q))
-    ones = np.ones(len(keys))
-    return float(distance_function(distance_kind)(a, b, ones, ones, [0])[0])
+    a, b = (np.array([e.probability(k) for k in keys])[None] for e in (p, q))
+    ones = np.ones(a.shape)
+    return float(distance_function(distance_kind)(a, b, ones, ones, [0])[0, 0])
 
 
 def total_variation(p: DistributionEstimate, q: DistributionEstimate) -> float:
@@ -153,33 +174,73 @@ def hellinger(p: DistributionEstimate, q: DistributionEstimate) -> float:
     return _estimate_distance(HELLINGER, p, q)
 
 
-def pair_distances(dataset, window_a, window_b, conditioning, target, distance_kind):
-    """Count the window pair over ``conditioning + target`` and reduce it per
-    conditioning tuple seen in either window (one empty tuple when there is
-    no conditioning): the tuples, their count in each window, and the
-    distance between the two windows' conditionals of ``target``.
+def _window_records(bounds: np.ndarray) -> np.ndarray:
+    """The sorted indices of the records inside any of the record ranges
+    [start, end) held in the column pairs (0, 1) and (2, 3) of ``bounds``."""
+    lo, hi = bounds.min(), bounds.max()
+    depth = np.cumsum(np.bincount(bounds[:, ::2].ravel() - lo, minlength=hi - lo + 1)
+                      - np.bincount(bounds[:, 1::2].ravel() - lo, minlength=hi - lo + 1))
+    return lo + np.flatnonzero(depth[:-1])
+
+
+def pair_distances(dataset, pairs, conditioning, target, distance_kind):
+    """For each ``(window_a, window_b)`` of ``pairs``, in order: count the
+    pair over ``conditioning + target`` and reduce it per conditioning tuple
+    seen in either window (one empty tuple when there is no conditioning).
+    Yields the tuples, their count in each window, and the distance between
+    the two windows' conditionals of ``target``.
 
     A tuple observed in only one window has an undefined conditional on the
     other side; its distance is taken as 1.0 (the conditional's entire mass
     appeared or disappeared), which keeps every measure symmetric.
+
+    Consecutive pairs are counted in chunks of ``CHUNK_CELLS`` // max(S, R)
+    pairs, S bounding the key count (the product of the attributes'
+    cardinalities, capped at the record count) and R the most records a
+    pair holds. The records inside any window of a chunk are compacted into
+    key ids once, bincounted per segment between the chunk's sorted window
+    edges and summed up, so that each window's counts are the difference of
+    two prefix rows. A chunk's arrays thus stay near the size of its
+    windows, not of the stream.
     """
     dist = distance_function(distance_kind)
-    keys, (a, b) = count_table(conditioning + target, select_window(dataset, window_a),
-                               select_window(dataset, window_b))
-    starts, group = key_runs(keys, len(conditioning))
-    m_a, m_b = np.add.reduceat(a, starts), np.add.reduceat(b, starts)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        d = dist(a, b, m_a[group], m_b[group], starts)
-    d[(m_a == 0) | (m_b == 0)] = 1.0
-    return keys[starts, :len(conditioning)], m_a, m_b, d
+    ticks = [(a.start, a.end, b.start, b.end) for a, b in pairs]
+    bounds = np.searchsorted(dataset.timestamps, ticks, side="left").reshape(-1, 4)
+    names = conditioning + target
+    space = min(math.prod(dataset.cardinalities[c] for c in dataset.column_indices(names)),
+                len(dataset))
+    pair_records = int((bounds[:, 1::2] - bounds[:, ::2]).sum(axis=1).max())
+    step = max(1, CHUNK_CELLS // max(space, pair_records, 1))
+    for chunk in (bounds[i:i + step] for i in range(0, len(bounds), step)):
+        records = _window_records(chunk)
+        keys, ids = key_ids(dataset, names, records)
+        starts, group = key_runs(keys, len(conditioning))
+        k = len(keys)
+        edges, where = np.unique(chunk, return_inverse=True)
+        where = where.reshape(chunk.shape)
+        # prefix row j counts the records from edges[0] up to edges[j]
+        prefix_row = np.searchsorted(edges, records, side="right")
+        usable = ids >= 0
+        prefix = np.bincount(prefix_row[usable] * k + ids[usable],
+                             minlength=len(edges) * k).reshape(len(edges), k)
+        np.cumsum(prefix, axis=0, out=prefix)
+        a = prefix[where[:, 1]] - prefix[where[:, 0]]
+        b = prefix[where[:, 3]] - prefix[where[:, 2]]
+        m_a, m_b = np.add.reduceat(a, starts, axis=1), np.add.reduceat(b, starts, axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            d = dist(a, b, m_a[:, group], m_b[:, group], starts)
+        d[(m_a == 0) | (m_b == 0)] = 1.0
+        tuples = keys[starts, :len(conditioning)]
+        for pair_a, pair_b, pair_d in zip(m_a, m_b, d):
+            seen = np.flatnonzero(pair_a + pair_b)
+            yield tuples[seen], pair_a[seen], pair_b[seen], pair_d[seen]
 
 
-def _drift(kind, dataset, window_a, window_b, subset, distance_kind,
-           conditioning, target) -> DriftMeasurement:
-    """The drift of ``target`` given ``conditioning`` over the window pair.
+def _drift(kind, dataset, pairs, subset, distance_kind) -> list[DriftMeasurement]:
+    """The ``kind`` drift over ``subset`` for each window pair of ``pairs``.
 
-    With no conditioning attributes this is the distance between the two
-    marginals. Otherwise it is the sum over conditioning tuples observed in
+    A marginal kind is the distance between the two marginals. The
+    conditional kinds are the sum over conditioning tuples observed in
     either window of 0.5 * (m_a/n_a + m_b/n_b) * inner distance, clamped at
     1.0 like Hellinger, so rounding never lifts a magnitude above 1. The
     weights are summed over integer counts, so the sum is exactly 1.0 when
@@ -188,25 +249,30 @@ def _drift(kind, dataset, window_a, window_b, subset, distance_kind,
     if subset.role != MEASURE_ROLES[kind]:
         raise MeasureError(f"{kind} drift needs a {MEASURE_ROLES[kind]} subset")
     subset.validate_against(dataset)
-    _, m_a, m_b, d = pair_distances(dataset, window_a, window_b, conditioning, target,
-                                    distance_kind)
-    n_a, n_b = int(m_a.sum()), int(m_b.sum())
-    magnitude = None
-    if n_a and n_b:
-        if conditioning:
-            magnitude = min(1.0, float((m_a * n_b + m_b * n_a) @ d) / (2 * n_a * n_b))
-        else:
-            magnitude = float(d[0])
-    return DriftMeasurement(
-        measure_kind=kind,
-        distance_kind=distance_kind,
-        subset=subset,
-        window_a=window_a,
-        window_b=window_b,
-        magnitude=magnitude,
-        sample_sizes=(n_a, n_b),
-        status=STATUS_OK if magnitude is not None else STATUS_INSUFFICIENT,
-    )
+    label = (dataset.schema.class_attribute,)
+    conditioning, target = {CONDITIONED_COVARIATE_DRIFT: (label, subset.names),
+                            POSTERIOR_DRIFT: (subset.names, label)}.get(kind, ((), subset.names))
+    results = []
+    for (window_a, window_b), (_, m_a, m_b, d) in zip(
+            pairs, pair_distances(dataset, pairs, conditioning, target, distance_kind)):
+        n_a, n_b = int(m_a.sum()), int(m_b.sum())
+        magnitude = None
+        if n_a and n_b:
+            if conditioning:
+                magnitude = min(1.0, float((m_a * n_b + m_b * n_a) @ d) / (2 * n_a * n_b))
+            else:
+                magnitude = float(d[0])
+        results.append(DriftMeasurement(
+            measure_kind=kind,
+            distance_kind=distance_kind,
+            subset=subset,
+            window_a=window_a,
+            window_b=window_b,
+            magnitude=magnitude,
+            sample_sizes=(n_a, n_b),
+            status=STATUS_OK if magnitude is not None else STATUS_INSUFFICIENT,
+        ))
+    return results
 
 
 def marginal_drift(
@@ -218,8 +284,7 @@ def marginal_drift(
 ) -> DriftMeasurement:
     """Distance between the two windows' marginal estimates over ``subset``."""
     kind = next(k for k, role in MEASURE_ROLES.items() if role == subset.role)
-    return _drift(kind, dataset, window_a, window_b, subset,
-                  distance_kind, (), subset.names)
+    return _drift(kind, dataset, [(window_a, window_b)], subset, distance_kind)[0]
 
 
 def conditioned_covariate_drift(
@@ -230,8 +295,8 @@ def conditioned_covariate_drift(
     distance_kind: str = TOTAL_VARIATION,
 ) -> DriftMeasurement:
     """Class-prevalence-weighted average of per-class covariate distances."""
-    return _drift(CONDITIONED_COVARIATE_DRIFT, dataset, window_a, window_b, subset,
-                  distance_kind, (dataset.schema.class_attribute,), subset.names)
+    return _drift(CONDITIONED_COVARIATE_DRIFT, dataset, [(window_a, window_b)], subset,
+                  distance_kind)[0]
 
 
 def posterior_drift(
@@ -242,8 +307,7 @@ def posterior_drift(
     distance_kind: str = TOTAL_VARIATION,
 ) -> DriftMeasurement:
     """Covariate-prevalence-weighted average of per-tuple class distances."""
-    return _drift(POSTERIOR_DRIFT, dataset, window_a, window_b, subset,
-                  distance_kind, subset.names, (dataset.schema.class_attribute,))
+    return _drift(POSTERIOR_DRIFT, dataset, [(window_a, window_b)], subset, distance_kind)[0]
 
 
 def compute_drift(
@@ -254,14 +318,21 @@ def compute_drift(
     subset: AttributeSubset,
     distance_kind: str = TOTAL_VARIATION,
 ) -> DriftMeasurement:
-    """Dispatch on measure kind; marginal kinds must agree with subset role."""
+    """The ``measure_kind`` drift over ``subset`` between the two windows."""
+    return drift_measurements(dataset, [(window_a, window_b)], measure_kind, subset,
+                              distance_kind)[0]
+
+
+def drift_measurements(dataset: EncodedDataset, pairs, measure_kind: str,
+                       subset: AttributeSubset,
+                       distance_kind: str = TOTAL_VARIATION) -> list[DriftMeasurement]:
+    """The ``measure_kind`` drift at every ``(window_a, window_b)`` of
+    ``pairs``, in order, from one ``pair_distances`` call; marginal kinds
+    must agree with the subset role."""
     if measure_kind not in MEASURE_ROLES:
         raise MeasureError(f"unknown measure kind {measure_kind!r}")
-    if measure_kind == CONDITIONED_COVARIATE_DRIFT:
-        return conditioned_covariate_drift(dataset, window_a, window_b, subset, distance_kind)
-    if measure_kind == POSTERIOR_DRIFT:
-        return posterior_drift(dataset, window_a, window_b, subset, distance_kind)
-    if MEASURE_ROLES[measure_kind] != subset.role:
+    if (measure_kind not in (CONDITIONED_COVARIATE_DRIFT, POSTERIOR_DRIFT)
+            and MEASURE_ROLES[measure_kind] != subset.role):
         raise MeasureError(f"measure kind {measure_kind!r} does not match subset role "
                            f"{subset.role!r}")
-    return marginal_drift(dataset, window_a, window_b, subset, distance_kind)
+    return _drift(measure_kind, dataset, pairs, subset, distance_kind)

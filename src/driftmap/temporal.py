@@ -20,9 +20,10 @@ from .measures import (
     STATUS_OK,
     TOTAL_VARIATION,
     DriftMeasurement,
-    compute_drift,
+    drift_measurements,
     rows_to_csv,
 )
+from .measures import compute_drift  # noqa: F401 - a call point perfbench/spans.py wraps
 
 ADJACENT = "adjacent-before-after"
 CONSECUTIVE = "consecutive"
@@ -124,7 +125,10 @@ def drift_series(dataset: EncodedDataset, spec: SweepSpec) -> DriftSeries:
 
     Evaluation starts at the first tick where both windows fit inside the
     data span and steps by ``compute_step``. Points where either window is
-    empty carry the insufficient-data marker rather than being skipped.
+    empty carry the insufficient-data marker rather than being skipped. Each
+    measure is one ``drift_measurements`` call over every point's window
+    pair: ``compute_drift``'s checks are made once, and each point holds
+    what ``compute_drift`` returns for its pair.
     """
     if len(dataset) == 0:
         return DriftSeries(spec=spec, points=(), status="empty dataset")
@@ -137,17 +141,13 @@ def drift_series(dataset: EncodedDataset, spec: SweepSpec) -> DriftSeries:
         return DriftSeries(spec=spec, points=(),
                            status="dataset shorter than one window pair")
 
-    points = []
-    for t in range(first, last + 1, spec.compute_step):
-        window_a, window_b = spec.windows_at(t)
-        results = {}
-        for mspec in spec.measures:
-            results[mspec.key] = compute_drift(
-                dataset, window_a, window_b,
-                mspec.measure_kind, mspec.subset, mspec.distance_kind,
-            )
-        points.append(SeriesPoint(time=t, results=results))
-    return DriftSeries(spec=spec, points=tuple(points))
+    times = range(first, last + 1, spec.compute_step)
+    pairs = [spec.windows_at(t) for t in times]
+    columns = [(m.key, drift_measurements(dataset, pairs, m.measure_kind, m.subset,
+                                          m.distance_kind)) for m in spec.measures]
+    return DriftSeries(spec=spec, points=tuple(
+        SeriesPoint(time=t, results={key: column[i] for key, column in columns})
+        for i, t in enumerate(times)))
 
 
 def series_statistics(series: DriftSeries) -> dict[str, dict]:

@@ -398,6 +398,16 @@ def test_bins_leave_the_hash_when_a_sidecar_fixes_them(workspace, capsys):
     assert outputs[0] == outputs[1]
 
 
+def test_python_dash_m_driftmap_cli_runs_without_a_warning():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    result = subprocess.run([sys.executable, "-m", "driftmap.cli", "--help"], env=env,
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0
+    assert result.stderr == ""
+    assert "usage: driftmap" in result.stdout
+
+
 def test_python_dash_m_driftmap_runs_the_cli():
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
@@ -453,8 +463,32 @@ def test_bad_config_measures_fail_nonzero(workspace, capsys, section, message):
     assert not (workspace / "out").exists()
 
 
+@pytest.mark.parametrize("section, shown", [
+    ("analysis:\n  measures: []\n", "[]"),
+    ("analysis:\n  measures:\n", "None"),
+    ("analysis:\n  measures: covariate\n", "'covariate'"),
+    ("analysis:\n  measures: [1]\n", "[1]"),
+], ids=["empty", "null", "string", "not-a-string"])
+def test_bad_config_measures_fail_nonzero_for_measure(workspace, capsys, section, shown):
+    (workspace / "config.yaml").write_text(CONFIG + section)
+    rc = run_cli(["measure", *base_args(workspace), "--window-a", "0:200",
+                  "--window-b", "200:400"])
+    assert rc == 1
+    assert capsys.readouterr().err == ("driftmap: error: analysis.measures must be a "
+                                       f"non-empty list of measures, got {shown}\n")
+    assert not (workspace / "out").exists()
+
+
 def _csv_rows(path):
     return list(csv.DictReader(Path(path).read_text().splitlines()))
+
+
+def test_config_measures_list_is_read_by_measure(workspace, capsys):
+    (workspace / "config.yaml").write_text(CONFIG + "analysis:\n  measures: [class]\n")
+    assert run_cli(["measure", *base_args(workspace), "--window-a", "0:200",
+                    "--window-b", "200:400", "--format-out", "csv"]) == 0
+    rows = _csv_rows(capsys.readouterr().out.strip())
+    assert [r["measure_kind"] for r in rows] == ["class"]
 
 
 def test_config_measures_list_is_read(workspace, capsys):

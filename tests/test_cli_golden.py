@@ -55,6 +55,13 @@ COMMANDS = {
     "map-posterior-pairwise": ["map", "--kind", "posterior-pairwise", *WINDOWS, *ALL_FORMATS],
     "map-classes-on-map": ["map", "--kind", "pairwise-joint", "--classes-on-map",
                            *WINDOWS, *ALL_FORMATS],
+    "series-hellinger-consecutive": [
+        "series", "--step", "5", "--span", "50", "--distance", "hellinger",
+        "--alignment", "consecutive", "--measure", "joint", "--measure", "covariate",
+        "--measure", "class", "--measure", "conditioned-covariate", "--measure", "posterior",
+        *ALL_FORMATS],
+    "map-conditioned-univariate-hellinger": ["map", "--kind", "conditioned-univariate",
+                                             "--distance", "hellinger", *WINDOWS, *ALL_FORMATS],
 }
 
 # {command id: {artifact name: sha256}}
@@ -97,6 +104,14 @@ DIGESTS = {
         'map_conditioned-univariate_aa447fab7646.svg':
             'dc2182a62440337c2b816a8390684e638cb1c4784b46048767e5cae1f4583123',
     },
+    'map-conditioned-univariate-hellinger': {
+        'map_conditioned-univariate_86e7b0efa8c0.csv':
+            '6b1d8c01f79d6678fe89370d7b367714e9205b25218fd41baab59b2812b751c0',
+        'map_conditioned-univariate_86e7b0efa8c0.json':
+            '511af76a95ed7d38e6977b2c9b857e2039a61c3bd305154469ef267796a1b524',
+        'map_conditioned-univariate_86e7b0efa8c0.svg':
+            'd75da1286c17a425db996052441ab76720ac12c8c067bbd42ec7b65a7e6c7eea',
+    },
     'map-pairwise-joint': {
         'map_pairwise-joint_0533887c810e.csv':
             '31a59174df35f970dceb60538f997d5fc5d355337ee4f9f76f503988c28aca0a',
@@ -132,6 +147,14 @@ DIGESTS = {
             '6b9467d4a42928dc99c77be5f8887091b21a6cdf4caa9975375307242fa5c27c',
         'series_ff2daf911c71.svg':
             '7afa301676845af84818353d754edb5bef46d50cfd5483fe5f455d13302b505e',
+    },
+    'series-hellinger-consecutive': {
+        'series_9c8a2712f7fb.csv':
+            'c68131a438217598b65160cd30d188ab55c2541c3e5c9729e707e46a9a1bcf03',
+        'series_9c8a2712f7fb.json':
+            '46821eb7fefc6876617d5d94e78d6595387d91f40909a035950a414d24b4dfab',
+        'series_9c8a2712f7fb.svg':
+            '2e626e86ff9cba0f9954cf9b3fd9a4af333e00aa08fb91c5e2ac1ff54f054295',
     },
 }
 

@@ -11,6 +11,7 @@ oracles are selected by a plain timestamp scan, independent of
 import dataclasses
 import math
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from driftmap.estimate import (
     estimate_distribution,
     select_window,
 )
+from driftmap import measures
 from driftmap.measures import (
     HELLINGER,
     STATUS_INSUFFICIENT,
@@ -32,6 +34,7 @@ from driftmap.measures import (
     compute_drift,
 )
 from driftmap.schema import CATEGORICAL, NUMERIC, Attribute, AttributeSchema, RawDataset
+from driftmap.temporal import ADJACENT, CONSECUTIVE, MeasureSpec, SweepSpec, drift_series
 
 from conftest import build_encoded
 import oracles
@@ -146,3 +149,62 @@ def test_key_space_beyond_int64_falls_back_to_row_compaction():
     m = compute_drift(ds, wa, wb, "covariate", subset)
     want = _sparse_tvd([r[:2] for r in rows[:30]], [r[:2] for r in rows[30:]])
     assert m.magnitude == pytest.approx(want, abs=TOL)
+
+
+def _all_measures(names, class_name="label"):
+    """Every measure kind over ``names`` under both distances."""
+    covariates = AttributeSubset.covariates(names)
+    subsets = {
+        "joint": AttributeSubset.joint(names, class_name),
+        "covariate": covariates,
+        "class": AttributeSubset.class_only(class_name),
+        "conditioned_covariate": covariates,
+        "posterior": covariates,
+    }
+    return tuple(MeasureSpec(kind, subset, distance) for kind, subset in subsets.items()
+                 for distance in (TOTAL_VARIATION, HELLINGER))
+
+
+def _assert_sweep_is_per_point_drift(dataset, spec):
+    """Every point of the batched sweep equals a compute_drift call on its
+    window pair: the same magnitude bits, sample sizes and status."""
+    series = drift_series(dataset, spec)
+    for point in series.points:
+        window_a, window_b = spec.windows_at(point.time)
+        for mspec in spec.measures:
+            got = point.results[mspec.key]
+            want = compute_drift(dataset, window_a, window_b, mspec.measure_kind,
+                                 mspec.subset, mspec.distance_kind)
+            assert (repr(got.magnitude), got.sample_sizes, got.status) == \
+                (repr(want.magnitude), want.sample_sizes, want.status), (point.time, mspec.key)
+            assert got == want
+    return series
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(streams(), st.integers(1, 4), st.integers(1, 3),
+       st.sampled_from([1, 100, measures.CHUNK_CELLS]))
+def test_sweep_matches_compute_drift_at_every_point(case, span, step, chunk_cells):
+    """Small chunk budgets split the sweep into chunks of one or a few pairs."""
+    dataset, _, _, names = case
+    with mock.patch.object(measures, "CHUNK_CELLS", chunk_cells):
+        for alignment in (ADJACENT, CONSECUTIVE):
+            spec = SweepSpec(compute_step=step, span=span, alignment=alignment,
+                             measures=_all_measures(names))
+            _assert_sweep_is_per_point_drift(dataset, spec)
+
+
+def test_sweep_over_a_key_space_beyond_int64_matches_compute_drift():
+    big = 3 ** 26
+    rng = np.random.default_rng(11)
+    values = rng.choice([0, 1, big // 2, big - 1], size=(80, 2))
+    values[rng.random(values.shape) < 0.1] = MISSING_CODE
+    labels = rng.integers(0, 2, size=(80, 1))
+    ds = build_encoded(np.hstack([values, labels]), [2, 2, 2], timestamps=np.arange(80) // 2)
+    ds = dataclasses.replace(ds, cardinalities=(big, big, 2))
+    assert math.prod(ds.cardinalities) > MAX_KEY_SPACE
+    for alignment in (ADJACENT, CONSECUTIVE):
+        spec = SweepSpec(compute_step=3, span=8, alignment=alignment,
+                         measures=_all_measures(["a0", "a1"]))
+        series = _assert_sweep_is_per_point_drift(ds, spec)
+        assert len(series) > 5

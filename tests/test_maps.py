@@ -318,6 +318,16 @@ def test_every_builder_rejects_repeated_or_unknown_names_before_counting(
         build(ds, *two_windows(2), attributes)
 
 
+@pytest.mark.parametrize("build", _BUILDERS, ids=_BUILDER_IDS)
+@pytest.mark.parametrize("attributes", [("a0", "a0"), ("a0", "zz")], ids=["repeated", "unknown"])
+def test_every_builder_checks_names_before_compacting_rows(build, attributes, monkeypatch):
+    # pair_distances compacts every window's rows with key_ids before it counts
+    ds = build_encoded([[0, 0, 0], [1, 1, 1]] * 2, [2, 2, 2])
+    monkeypatch.setattr("driftmap.measures.key_ids", None)
+    with pytest.raises(EstimationError):
+        build(ds, *two_windows(2), attributes)
+
+
 @pytest.mark.parametrize("attributes, include_class", [
     (("label", "a0", "label"), False),
     (("a0", "label", "label"), True),
