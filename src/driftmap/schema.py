@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import warnings
 from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
 from operator import itemgetter
@@ -295,11 +296,92 @@ def _timestamp_column(cells: list[str]):
 
 
 def _rows_from_csv(text: str) -> tuple[list[str], list[list[str]]]:
-    reader = csv.reader(io.StringIO(text))
-    rows = [row for row in reader if row]
+    rows: list[list[str]] = []
+    try:
+        rows.extend(filter(None, csv.reader(io.StringIO(text))))  # rows read before an error stay
+    except csv.Error as exc:
+        where = f"row {len(rows)}" if rows else "header"
+        reason = str(exc)
+        if "new-line character" in reason:  # a "\r" that does not start "\r\n"
+            reason = ("carriage return inside an unquoted field; "
+                      "lines must end in \\n or \\r\\n")
+        raise IngestError(f"{where}: {reason}") from None
     if not rows:
         raise IngestError("empty CSV input")
     return [c.strip() for c in rows[0]], rows[1:]
+
+
+def _clean_csv(text: str, schema: AttributeSchema) -> RawDataset | None:
+    """The dataset of a clean CSV ``text``, read by one ``np.loadtxt``; or
+    ``None`` wherever that read might differ from the row-by-row path.
+
+    Within a line, numpy's tokenizer (``quotechar='"'``, no comments) splits
+    fields as ``csv.reader`` does, both drop blank lines, and a float is
+    parsed by the routine ``float()`` uses. So where every row has the
+    header's arity, every number is finite, every tick an int64 that
+    ``Decimal`` takes too, and every label is neither missing nor padded
+    nor quoted once split, the dataset is the row-by-row one bit for bit.
+    Anything else returns ``None`` and the row-by-row path decides, with
+    its messages.
+    """
+    lines = text.split("\n")
+    if "\r" in text and text.count("\r") != text.count("\r\n"):
+        return None  # csv.reader rejects a lone carriage return
+    if max(map(len, lines)) >= csv.field_size_limit():  # no field spans lines, see below
+        return None
+    if '"' in text:
+        # csv.reader carries a quote left open at the end of a line on to the
+        # next line, loadtxt does not; strict csv.reader rejects such a line
+        # (and a closing quote followed by anything but a delimiter)
+        try:
+            for line in lines:
+                if '"' in line:
+                    next(csv.reader([line], strict=True))
+        except csv.Error:
+            return None
+    header = [c.strip() for c in next(csv.reader(lines[:1]))]
+    if any(a.name not in header for a in schema.attributes):  # or a blank first line
+        return None
+    where = [header.index(a.name) for a in schema.attributes]
+    dtypes = [object] * len(header)
+    for attr, j in zip(schema.attributes, where):
+        if attr.kind == NUMERIC:
+            dtypes[j] = float
+    use_index_ts = schema.timestamp_source == RECORD_INDEX
+    if not use_index_ts:
+        if schema.timestamp_source not in header:
+            return None
+        ts_index = header.index(schema.timestamp_source)
+        if ts_index in where:  # a column read both as ticks and as an attribute
+            return None
+        dtypes[ts_index] = np.int64
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # e.g. "input contained no data"
+            table = np.loadtxt(lines, dtype=[(f"f{j}", t) for j, t in enumerate(dtypes)],
+                               delimiter=",", comments=None, quotechar='"', skiprows=1, ndmin=1)
+    except (ValueError, Warning):
+        return None
+
+    if use_index_ts:
+        timestamps = np.arange(len(table), dtype=np.int64)
+    else:
+        timestamps = table[f"f{ts_index}"].copy()
+        if np.any(timestamps == np.iinfo(np.int64).min):  # |tick| < 2**63 in the row path
+            return None
+    columns = []
+    for attr, j in zip(schema.attributes, where):
+        values = table[f"f{j}"]
+        if attr.kind == NUMERIC:
+            if not np.isfinite(values).all():
+                return None
+            columns.append(values.copy())
+            continue
+        distinct, inverse = factorize(values.tolist())
+        if any(v in MISSING_MARKERS or _unquote(v.strip()) != v for v in distinct):
+            return None
+        columns.append(np.array(distinct, dtype=object)[inverse])
+    return _sorted(schema, timestamps, columns)
 
 
 def _rows_from_arff(text: str) -> tuple[list[str], list[list[str]]]:
@@ -332,28 +414,40 @@ def _rows_from_arff(text: str) -> tuple[list[str], list[list[str]]]:
     return header, data_rows
 
 
+def _text(source) -> str:
+    """``source`` as text: bytes are decoded as UTF-8, and one leading
+    byte-order mark (as Excel writes it) is dropped."""
+    if hasattr(source, "read"):
+        source = source.read()
+    if isinstance(source, bytes):
+        return source.decode("utf-8-sig")
+    return source[1:] if source.startswith("\ufeff") else source
+
+
 def ingest_records(source, format: str, schema: AttributeSchema) -> RawDataset:
     """Parse a CSV or ARFF byte/text stream into a :class:`RawDataset`.
 
     Excluded columns are dropped, every row must supply all analyzed
-    attributes, and the result is stably sorted by timestamp.
+    attributes, and the result is stably sorted by timestamp. A clean CSV
+    is read in one pass of numpy's parser (:func:`_clean_csv`); any other
+    input row by row, which gives the same dataset bit for bit where both
+    apply and names the first bad row where the input is rejected.
     """
-    if isinstance(source, bytes):
-        text = source.decode("utf-8")
-    elif hasattr(source, "read"):
-        text = source.read()
-        if isinstance(text, bytes):
-            text = text.decode("utf-8")
-    else:
-        text = source
-
+    text = _text(source)
     if format == "csv":
+        dataset = _clean_csv(text, schema)
+        if dataset is not None:
+            return dataset
         header, rows = _rows_from_csv(text)
     elif format == "arff":
         header, rows = _rows_from_arff(text)
     else:
         raise IngestError(f"unknown input format {format!r}")
+    return _ingest_rows(header, rows, schema)
 
+
+def _ingest_rows(header: list[str], rows: list[list[str]], schema: AttributeSchema) -> RawDataset:
+    """The row-by-row path: :func:`ingest_records` on split rows."""
     missing_cols = [a.name for a in schema.attributes if a.name not in header]
     if missing_cols:
         raise IngestError(f"columns declared in schema but absent from data: {missing_cols}")

@@ -212,6 +212,26 @@ def test_non_finite_numeric_cell_fails_nonzero(workspace, capsys):
     assert not (workspace / "out").exists()
 
 
+def test_csv_with_a_byte_order_mark_loads(workspace, capsys):
+    data = workspace / "data.csv"
+    data.write_bytes(b"\xef\xbb\xbf" + data.read_bytes())
+    rc = run_cli(["encode", *base_args(workspace)])
+    assert rc == 0
+    prov = next(p for p in capsys.readouterr().out.splitlines() if "provenance_" in p)
+    assert json.loads(Path(prov).read_text())["records"] == 400
+
+
+def test_lone_carriage_returns_fail_nonzero_naming_the_row(workspace, capsys):
+    data = workspace / "data.csv"
+    data.write_bytes(data.read_bytes().replace(b"\n", b"\r"))
+    rc = run_cli(["encode", *base_args(workspace)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == ("driftmap: error: header: carriage return inside an unquoted field; "
+                   "lines must end in \\n or \\r\\n\n")
+    assert not (workspace / "out").exists()
+
+
 def test_failed_render_leaves_no_outputs(workspace, capsys, monkeypatch):
     def broken_render(grid):
         raise RuntimeError("render failed")

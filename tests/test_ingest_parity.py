@@ -7,12 +7,21 @@ whitespace, missing markers, quoted labels, duplicate and unsorted
 timestamps, excluded columns, and bad cells and rows; the library must
 return the same records, discretizer, codes and overflow counts, or raise
 the same error.
+
+A clean CSV is read in one ``np.loadtxt`` pass (``schema._clean_csv``),
+everything else row by row (``schema._ingest_rows``). The cases where
+``float()``, ``Decimal`` and ``csv.reader`` disagree with ``loadtxt`` are
+pinned to the row-by-row result, and on generated clean and dirty CSVs
+the one-pass read either gives up or returns the row-by-row dataset bit
+for bit.
 """
 
 import math
+import sys
 from decimal import Decimal, InvalidOperation
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from driftmap.discretize import (
@@ -29,9 +38,13 @@ from driftmap.schema import (
     Attribute,
     AttributeSchema,
     IngestError,
+    RawDataset,
+    _clean_csv,
+    _ingest_rows,
     _rows_from_arff,
     _rows_from_csv,
     ingest_records,
+    parse_schema,
 )
 
 BINS = 3
@@ -234,3 +247,176 @@ def test_columnar_pipeline_matches_row_by_row_reference(case):
     assert encoded.codes.tolist() == codes
     assert encoded.timestamps.tolist() == [ts for ts, _ in other_want]
     assert encoded.overflow_counts == overflow_counts
+
+
+# --- the one-pass CSV read ---------------------------------------------------
+
+_XY = AttributeSchema(attributes=(Attribute("x", NUMERIC), Attribute("y", CATEGORICAL)),
+                      class_attribute="y")
+_TXY = AttributeSchema(attributes=_XY.attributes, class_attribute="y", timestamp_source="t")
+_XY_NOISE = AttributeSchema(attributes=_XY.attributes, class_attribute="y",
+                            excluded=("noise",))
+
+
+def _one(x, y, ts=0):
+    return ((ts, (x, y)),)
+
+
+def _finite(cell):
+    return f"row 1: cannot parse {cell!r} as a finite number for attribute 'x'"
+
+
+# the row-by-row result of each input, as records or as the error message
+EDGES = {
+    "underscore": (_XY, "x,y\n1_0,a\n", _one(10.0, "a")),
+    "non-ascii-digit": (_XY, "x,y\n\u0661,a\n", _one(1.0, "a")),
+    "hex": (_XY, "x,y\n0x1p3,a\n", _finite("0x1p3")),
+    "padded": (_XY, "x,y\n 1.5 , a \n", _one(1.5, "a")),
+    "plus-exponent": (_XY, "x,y\n+1e3,a\n", _one(1000.0, "a")),
+    "underflow": (_XY, "x,y\n2e-400,a\n", _one(0.0, "a")),
+    "overflow": (_XY, "x,y\n1e400,a\n", _finite("1e400")),
+    "nan": (_XY, "x,y\nnan,a\n", _finite("nan")),
+    "inf": (_XY, "x,y\ninf,a\n", _finite("inf")),
+    "quoted-number": (_XY, 'x,y\n"1.5",a\n', _one(1.5, "a")),
+    "quote-after-padding": (_XY, 'x,y\n1, "UP"\n', _one(1.0, "UP")),
+    "single-quoted-label": (_XY, "x,y\n1,'UP'\n", _one(1.0, "UP")),
+    "quoted-comma": (_XY, 'x,y\n1,"a,b"\n', _one(1.0, "a,b")),
+    "quoted-newline": (_XY, 'x,y\n1,"a\nb"\n', _one(1.0, "a\nb")),
+    "doubled-quote": (_XY, 'x,y\n1,"a""b"\n', _one(1.0, 'a"b')),
+    "hash-in-label": (_XY, "x,y\n1,a#b\n", _one(1.0, "a#b")),
+    "hash-in-number": (_XY, "x,y\n1#,a\n", _finite("1#")),
+    "missing-markers": (_XY, "x,y\n?,a\n1,\n", ((0, (None, "a")), (1, (1.0, None)))),
+    "blank-lines": (_XY, "x,y\n\n1,a\n\n\n2,b\n\n", ((0, (1.0, "a")), (1, (2.0, "b")))),
+    "whitespace-line": (_XY, "x,y\n1,a\n  \n2,b\n", "row 2: expected 2 fields, got 1"),
+    "leading-blank-lines": (_XY, "\n\r\nx,y\n1,a\n", _one(1.0, "a")),
+    "quoted-header": (_XY, '"x",y\n1,a\n', _one(1.0, "a")),
+    "crlf": (_XY, "x,y\r\n1,a\r\n\r\n2,b\r\n", ((0, (1.0, "a")), (1, (2.0, "b")))),
+    "extra-and-excluded": (_XY_NOISE, "noise,x,extra,y\nz,1,q,a\n", _one(1.0, "a")),
+    "short-row": (_XY_NOISE, "noise,x,extra,y\nz,1,q\n", "row 1: expected 4 fields, got 3"),
+    "timestamp-decimal": (_TXY, "t,x,y\n5.0,1,a\n1e3,2,b\n",
+                          ((5, (1.0, "a")), (1000, (2.0, "b")))),
+    "timestamp-int64-min": (_TXY, "t,x,y\n-9223372036854775808,1,a\n",
+                            "row 1: timestamp '-9223372036854775808' is not an int64 tick"),
+    "timestamp-int64-max": (_TXY, "t,x,y\n9223372036854775807,1,a\n",
+                            _one(1.0, "a", 2**63 - 1)),
+}
+
+
+def _bits(dataset: RawDataset):
+    """Everything a dataset holds, down to the bytes of its arrays."""
+    def array(values):
+        if values.dtype == object:
+            return [(type(v), v) for v in values.tolist()]
+        return values.dtype.str, values.shape, values.tobytes()
+    return dataset.schema, array(dataset.timestamps), [array(c) for c in dataset.columns]
+
+
+def _row_by_row(text, schema):
+    return _ingest_rows(*_rows_from_csv(text), schema)
+
+
+@pytest.mark.parametrize("schema, text, expected", EDGES.values(), ids=EDGES.keys())
+def test_semantic_edges_keep_the_row_by_row_result(schema, text, expected):
+    raw, error = _outcome(ingest_records, text, "csv", schema)
+    if isinstance(expected, str):
+        assert error == (IngestError, expected)
+    else:
+        assert error is None
+        assert raw.records == expected
+    fast = _clean_csv(text, schema)
+    if fast is not None:
+        assert error is None
+        assert _bits(fast) == _bits(_row_by_row(text, schema))
+
+
+# cells that parse the same either way, and cells on which the two parsers
+# may disagree or the input is rejected
+CLEAN_NUMBERS = st.sampled_from(["1", "7", "-3", "0.5", "2.25", "-1.0", "1e1", "+3", "-0",
+                                 "1e-320", "0.1", "123456789.123456789"])
+CLEAN_LABELS = st.sampled_from(["a", "b", "UP", "DOWN", "a b", "x'y"])
+CLEAN_TICKS = st.integers(-5, 9).map(str)
+DIRTY_CELLS = st.one_of(
+    st.sampled_from(['"1.5"', " 1.5 ", "1_0", "\u0661", "0x1p3", "nan", "-inf", "1e400",
+                     "2e-400", "?", "", '"a,b"', '"a\nb"', ' "UP"', "'a'", '"\'a\'"', "a#b",
+                     '"a""b"', '"open', 'a"b', "\xa01\xa0", "-9223372036854775808",
+                     "9223372036854775808", "5.0", "1e3", "a\rb", "a\x00b", "  ", '"?"']),
+    st.text(alphabet=',"\n\r a1.?#\'\xa0\u0661e+-_x', max_size=5))
+
+
+@st.composite
+def csv_cases(draw):
+    """(schema, CSV text, whether the text is clean)."""
+    schema = draw(schemas())
+    columns = list(schema.attribute_names) + ["noise"]
+    if schema.timestamp_source != RECORD_INDEX:
+        columns.append(schema.timestamp_source)
+    columns = draw(st.permutations(columns))
+    clean_cells = {name: CLEAN_LABELS for name in columns}
+    clean_cells.update({a.name: CLEAN_NUMBERS for a in schema.attributes if a.kind == NUMERIC})
+    clean_cells["t"] = CLEAN_TICKS
+    rows = [[draw(clean_cells[name]) for name in columns]
+            for _ in range(draw(st.integers(1, 8)))]
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    clean = draw(st.booleans())
+    if not clean:
+        for _ in range(draw(st.integers(1, 3))):
+            row = rows[draw(st.integers(0, len(rows) - 1))]
+            kind = draw(st.integers(0, 3))
+            if kind == 0:
+                row[draw(st.integers(0, len(row) - 1))] = draw(DIRTY_CELLS)
+            elif kind == 1:
+                row.append(draw(DIRTY_CELLS))
+            elif kind == 2:
+                row[:] = [draw(DIRTY_CELLS)]  # a short, blank or whitespace line
+            else:
+                row[-1] += draw(st.sampled_from(["\r", "\n", "\r\n", "\r\r\n"]))
+    lines = [",".join(columns)] + [",".join(row) for row in rows]
+    text = newline.join(lines) + draw(st.sampled_from([newline, ""]))
+    return schema, text, clean
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(csv_cases())
+# csv.reader carries the open quote on to the next line, loadtxt does not
+@example((_XY, 'x,y\n1,"1\n\n1,1\n', False))
+def test_one_pass_read_gives_up_or_matches_row_by_row(case):
+    schema, text, clean = case
+    fast = _clean_csv(text, schema)
+    if fast is None:
+        assert not clean, "a clean CSV fell back to the row-by-row path"
+        return
+    assert _bits(fast) == _bits(_row_by_row(text, schema))
+
+
+def _stream_text(rows: int, timestamps: bool) -> tuple[str, AttributeSchema]:
+    """A CSV shaped like the benchmark stream: five numeric covariates with
+    six decimals and an UP/DOWN class, optionally after an int tick column."""
+    rng = np.random.default_rng(0)
+    values = rng.random((rows, 5))
+    labels = np.where(rng.random(rows) < 0.5, "UP", "DOWN")
+    names = ["nswprice", "nswdemand", "vicprice", "vicdemand", "transfer"]
+    head = (["t"] if timestamps else []) + names + ["class"]
+    lines = [",".join(head)]
+    for i in range(rows):
+        cells = [f"{v:.6f}" for v in values[i]] + [labels[i]]
+        lines.append(",".join(([str(1000 - i % 997)] if timestamps else []) + cells))
+    config = {"attributes": [{"name": n, "kind": NUMERIC} for n in names]
+              + [{"name": "class", "kind": CATEGORICAL, "domain": ["DOWN", "UP"]}],
+              "class": "class"}
+    if timestamps:
+        config["timestamp"] = {"source": "t"}
+    return "\n".join(lines) + "\n", parse_schema(config)
+
+
+@pytest.mark.parametrize("timestamps", [False, True], ids=["record-index", "tick-column"])
+def test_clean_stream_never_reaches_the_row_by_row_path(monkeypatch, timestamps):
+    text, schema = _stream_text(10_000, timestamps)
+    want = _row_by_row(text, schema)
+
+    def refuse(text):
+        raise AssertionError("clean CSV took the row-by-row path")
+
+    monkeypatch.setattr(sys.modules[_clean_csv.__module__], "_rows_from_csv", refuse)
+    raw = ingest_records(text.encode(), "csv", schema)
+    assert len(raw) == 10_000
+    assert _bits(raw) == _bits(want)

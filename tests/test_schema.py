@@ -1,3 +1,5 @@
+import warnings
+
 import pytest
 
 from driftmap.schema import (
@@ -202,6 +204,39 @@ def test_no_silent_drops(tiny_schema):
 def test_csv_non_finite_numeric_cell_names_row_and_column(tiny_schema, cell):
     data = f"x,y\n1.5,a\n{cell},b\n"
     with pytest.raises(IngestError, match=r"row 2.*'x'"):
+        ingest_records(data, "csv", tiny_schema)
+
+
+@pytest.mark.parametrize("data", ["x,y\n", "x,y", "x,y\n\n\n", "x,y\r\n\r\n"],
+                         ids=["header-only", "no-newline", "blank-lines", "crlf-blank-lines"])
+def test_header_without_data_gives_no_records_and_no_warning(tiny_schema, data):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        ds = ingest_records(data, "csv", tiny_schema)
+    assert len(ds) == 0
+    assert caught == []
+
+
+@pytest.mark.parametrize("data", [b"\xef\xbb\xbfx,y\n1.5,a\n", "\ufeffx,y\n1.5,a\n"],
+                         ids=["bytes", "str"])
+def test_leading_byte_order_mark_is_dropped(tiny_schema, data):
+    assert ingest_records(data, "csv", tiny_schema).records == ((0, (1.5, "a")),)
+
+
+@pytest.mark.parametrize("data, where", [
+    ("x,y\r1.5,a\r2.5,b\r", "header"),
+    ("x,y\n1.5,a\n2.5,b\r3.5,a\n", "row 2"),
+], ids=["cr-only", "cr-in-row"])
+def test_lone_carriage_return_is_an_ingest_error_naming_the_row(tiny_schema, data, where):
+    with pytest.raises(IngestError) as info:
+        ingest_records(data, "csv", tiny_schema)
+    assert str(info.value) == (f"{where}: carriage return inside an unquoted field; "
+                               "lines must end in \\n or \\r\\n")
+
+
+def test_field_beyond_the_csv_limit_is_an_ingest_error(tiny_schema):
+    data = "x,y\n1.5,a\n2.5," + "b" * 140_000 + "\n"
+    with pytest.raises(IngestError, match=r"^row 2: field larger than field limit"):
         ingest_records(data, "csv", tiny_schema)
 
 
