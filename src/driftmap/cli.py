@@ -38,7 +38,7 @@ from .measures import (
 )
 from .render import PlotStyle, render_heatmap, render_lineplot
 from .schema import AttributeSchema, check_keys, ingest_records, parse_schema
-from .temporal import ADJACENT, CONSECUTIVE, MeasureSpec, SweepSpec, drift_series
+from .temporal import ADJACENT, CONSECUTIVE, SERIES_FIELDS, MeasureSpec, SweepSpec, drift_series
 from .temporal import check_unique_measures, series_statistics
 
 # --kind -> its builder's name in driftmap.maps, looked up when the command runs
@@ -137,11 +137,12 @@ def _parse_formats(args) -> set[str]:
 
 
 def _parse_interval(text: str) -> TimeInterval:
+    """'START:END' -> its interval; an empty or reversed one fails as such."""
     try:
-        start, end = text.split(":")
-        return TimeInterval(int(start), int(end))
-    except (ValueError, TypeError):
+        start, end = map(int, text.split(":"))
+    except ValueError:
         raise CliError(f"window must be START:END ticks, got {text!r}") from None
+    return TimeInterval(start, end)
 
 
 def _provenance_hash(payload: dict) -> str:
@@ -260,8 +261,8 @@ def cmd_encode(args) -> dict:
 
 
 def cmd_measure(args) -> dict:
-    analysis, schema, encoded, seed = _load_pipeline(args)
     window_a, window_b = map(_parse_interval, (args.window_a, args.window_b))
+    analysis, schema, encoded, seed = _load_pipeline(args)
     distance = _distance(args, analysis)
     measure_args = _measure_args(args, analysis, list(MEASURE_ROLES))
     results = [compute_drift(encoded, window_a, window_b, m.measure_kind, m.subset, distance)
@@ -301,8 +302,9 @@ def cmd_series(args) -> dict:
         "step": step, "span": span, "alignment": alignment,
         "measures": sorted(measure_args),
     })
+    rows = series.to_rows()
     artifacts = {
-        f"series_{key}.csv": series.to_csv(),
+        f"series_{key}.csv": rows_to_csv(rows, SERIES_FIELDS),
         f"series_{key}.json": _json({
             "provenance": _provenance_doc(args, seed, {
                 "command": "series", "distance": distance,
@@ -310,12 +312,11 @@ def cmd_series(args) -> dict:
             }),
             "status": series.status,
             "statistics": series_statistics(series) if len(series) else {},
-            "points": series.to_rows(),
+            "points": rows,
         }),
     }
     if len(series):
-        markers = tuple(int(m) for m in (args.marker or ()))
-        style = PlotStyle(vertical_markers=markers,
+        style = PlotStyle(vertical_markers=tuple(args.marker or ()),
                           x_label="time (ticks)", y_label="drift magnitude")
         artifacts[f"series_{key}.svg"] = partial(render_lineplot, series, style)
     return artifacts
@@ -325,8 +326,8 @@ def cmd_map(args) -> dict:
     if args.classes_on_map and args.kind != "pairwise-joint":
         raise CliError(f"--classes-on-map applies only to --kind pairwise-joint, "
                        f"not {args.kind!r}")
-    analysis, schema, encoded, seed = _load_pipeline(args)
     window_a, window_b = map(_parse_interval, (args.window_a, args.window_b))
+    analysis, schema, encoded, seed = _load_pipeline(args)
     distance = _distance(args, analysis)
     attributes = None if args.subset is None else _name_list(args.subset, "--subset")
     extra = {"include_class": True} if args.classes_on_map else {}
@@ -391,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_series.add_argument("--alignment", choices=[ADJACENT, CONSECUTIVE])
     p_series.add_argument("--measure", action="append",
                           help="kind[:attr,...]; repeatable")
-    p_series.add_argument("--marker", action="append",
+    p_series.add_argument("--marker", type=int, action="append",
                           help="dashed vertical marker at this tick; repeatable")
 
     p_map = command("map", "heat-map grids for one window pair", cmd_map, ARTIFACT_FORMATS,

@@ -1,14 +1,12 @@
 """Window selection, the counting kernel and maximum-likelihood estimates.
 
-Every estimate and measure compacts code rows with one helper,
-``key_ids``: the code rows of an attribute list are encoded as mixed-radix
-integer keys and compacted with one ``np.unique`` over all the records
-counted together. ``count_table`` bincounts them per window for the
-estimates; ``measures.pair_distances`` bincounts them per segment between
-window edges for any number of window pairs. Estimates are sparse:
-only observed code tuples are stored, absent tuples mean probability zero.
-Records missing a value on any attribute of the subset under analysis are
-dropped from that subset's counts only.
+Every estimate and measure counts with one function, ``window_counts``:
+it counts the code rows of an attribute list in any number of record
+ranges over one shared, sorted key space. The estimates pass one range;
+``measures.pair_distances`` passes both windows of every pair in a chunk.
+Estimates are sparse: only observed code tuples are stored, absent tuples
+mean probability zero. Records missing a value on any attribute of the
+subset under analysis are dropped from that subset's counts only.
 """
 
 from __future__ import annotations
@@ -171,22 +169,32 @@ def select_window(dataset: EncodedDataset, interval: TimeInterval) -> WindowView
     return WindowView(dataset=dataset, interval=interval, lo=lo, hi=hi)
 
 
-def key_ids(dataset: EncodedDataset, names, records) -> tuple[np.ndarray, np.ndarray]:
-    """The row compaction of the counting kernel over the records at the
-    indices ``records``: ``keys`` (K x len(names)), every code row over
-    ``names`` seen once, sorted lexicographically so that rows sharing their
-    leading codes are contiguous, and each record's row number in ``keys``,
-    -1 for a record missing a value on any of ``names``. Rows are compacted
-    with one ``np.unique`` as mixed-radix int64 keys, or as rows when the key
-    space would not fit an int64.
+def window_counts(dataset: EncodedDataset, names, bounds) -> tuple[np.ndarray, np.ndarray]:
+    """The counting kernel: counts of the code rows over ``names`` in each
+    record range ``[lo, hi)`` of ``bounds`` (windows x 2), over one shared
+    key space.
+
+    Returns ``keys`` (K x len(names)), every code row seen in any window
+    once, sorted lexicographically so that rows sharing their leading codes
+    are contiguous, and ``counts`` (windows x K, int64). Records missing a
+    value on any of ``names`` are dropped. The records inside any window are
+    compacted once with one ``np.unique``, as mixed-radix int64 keys or as
+    rows when the key space would not fit an int64. Their key ids are then
+    bincounted per segment between the sorted window edges and summed up,
+    so each window's counts are the difference of two prefix rows, and a
+    record is compacted once however many windows hold it.
     """
-    ids = np.full(len(records), -1)
+    bounds = np.asarray(bounds)
+    lo, hi = bounds.min(), bounds.max()
+    depth = np.cumsum(np.bincount(bounds[:, 0] - lo, minlength=hi - lo + 1)
+                      - np.bincount(bounds[:, 1] - lo, minlength=hi - lo + 1))
+    records = lo + np.flatnonzero(depth[:-1])
     cols = dataset.column_indices(names)
     cards = [dataset.cardinalities[c] for c in cols]
     if math.prod(cards) > MAX_KEY_SPACE:
         rows = dataset.codes[np.ix_(records, cols)]
         usable = (rows != MISSING_CODE).all(axis=1)
-        keys, inverse = np.unique(rows[usable], axis=0, return_inverse=True)
+        keys, ids = np.unique(rows[usable], axis=0, return_inverse=True)
     else:
         key = np.zeros(len(records), dtype=np.int64)
         usable = np.ones(len(records), dtype=bool)
@@ -195,28 +203,20 @@ def key_ids(dataset: EncodedDataset, names, records) -> tuple[np.ndarray, np.nda
             usable &= column != MISSING_CODE
             key *= card
             key += column
-        codes, inverse = np.unique(key[usable], return_inverse=True)
+        codes, ids = np.unique(key[usable], return_inverse=True)
         strides = np.cumprod(np.append(1, cards[:0:-1]))[::-1]
         keys = codes[:, None] // strides % cards
-    ids[usable] = inverse.reshape(-1)
-    return keys, ids
-
-
-def count_table(names, *windows: WindowView) -> tuple[np.ndarray, np.ndarray]:
-    """The counting kernel: counts of the code rows over ``names`` in each
-    of one or more windows, over one shared key space.
-
-    Returns ``keys``, every code row seen in any window once, as
-    ``key_ids`` sorts them, and ``counts`` (windows x K, int64). Records
-    missing a value on any of ``names`` are dropped.
-    """
-    records = np.concatenate([np.arange(w.lo, w.hi) for w in windows])
-    window_of = np.repeat(np.arange(len(windows)), [w.record_count for w in windows])
-    keys, ids = key_ids(windows[0].dataset, names, records)
-    usable = ids >= 0
-    counts = np.bincount(window_of[usable] * len(keys) + ids[usable],
-                         minlength=len(windows) * len(keys))
-    return keys, counts.reshape(len(windows), len(keys))
+    k = len(keys)
+    edges, where = np.unique(bounds, return_inverse=True)
+    where = where.reshape(bounds.shape)
+    # prefix row j counts the records from edges[0] up to edges[j]
+    prefix_row = np.searchsorted(edges, records[usable], side="right")
+    prefix = np.bincount(prefix_row * k + ids.reshape(-1),
+                         minlength=len(edges) * k).reshape(len(edges), k)
+    np.cumsum(prefix, axis=0, out=prefix)
+    counts = prefix[where[:, 1]]
+    counts -= prefix[where[:, 0]]
+    return keys, counts
 
 
 def key_runs(keys: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -235,7 +235,7 @@ def _support(keys: np.ndarray, counts: np.ndarray) -> dict[tuple[int, ...], floa
 def estimate_distribution(window: WindowView, subset: AttributeSubset) -> DistributionEstimate:
     """ML estimate: observed-tuple counts over usable records, normalized."""
     subset.validate_against(window.dataset)
-    keys, (counts,) = count_table(subset.names, window)
+    keys, (counts,) = window_counts(window.dataset, subset.names, [(window.lo, window.hi)])
     return DistributionEstimate(subset=subset, support=_support(keys, counts),
                                 sample_size=int(counts.sum()))
 
@@ -252,7 +252,8 @@ def estimate_conditional(
     conditioning.validate_against(window.dataset)
 
     k = len(conditioning.names)
-    keys, (counts,) = count_table(conditioning.names + target.names, window)
+    keys, (counts,) = window_counts(window.dataset, conditioning.names + target.names,
+                                   [(window.lo, window.hi)])
     n = int(counts.sum())
     starts, _ = key_runs(keys, k)
     members = {}

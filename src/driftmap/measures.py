@@ -20,9 +20,7 @@ import numpy as np
 
 from .discretize import EncodedDataset
 from .estimate import CLASS_ONLY, COVARIATES, JOINT, AttributeSubset, DistributionEstimate
-from .estimate import TimeInterval, key_ids, key_runs
-# only key_ids is called here; tests/test_maps.py patches count_table here as well
-from .estimate import count_table  # noqa: F401
+from .estimate import TimeInterval, key_runs, window_counts
 # call points that perfbench/spans.py wraps; no measure calls them
 from .estimate import estimate_conditional, estimate_distribution  # noqa: F401
 
@@ -174,15 +172,6 @@ def hellinger(p: DistributionEstimate, q: DistributionEstimate) -> float:
     return _estimate_distance(HELLINGER, p, q)
 
 
-def _window_records(bounds: np.ndarray) -> np.ndarray:
-    """The sorted indices of the records inside any of the record ranges
-    [start, end) held in the column pairs (0, 1) and (2, 3) of ``bounds``."""
-    lo, hi = bounds.min(), bounds.max()
-    depth = np.cumsum(np.bincount(bounds[:, ::2].ravel() - lo, minlength=hi - lo + 1)
-                      - np.bincount(bounds[:, 1::2].ravel() - lo, minlength=hi - lo + 1))
-    return lo + np.flatnonzero(depth[:-1])
-
-
 def pair_distances(dataset, pairs, conditioning, target, distance_kind):
     """For each ``(window_a, window_b)`` of ``pairs``, in order: count the
     pair over ``conditioning + target`` and reduce it per conditioning tuple
@@ -197,11 +186,9 @@ def pair_distances(dataset, pairs, conditioning, target, distance_kind):
     Consecutive pairs are counted in chunks of ``CHUNK_CELLS`` // max(S, R)
     pairs, S bounding the key count (the product of the attributes'
     cardinalities, capped at the record count) and R the most records a
-    pair holds. The records inside any window of a chunk are compacted into
-    key ids once, bincounted per segment between the chunk's sorted window
-    edges and summed up, so that each window's counts are the difference of
-    two prefix rows. A chunk's arrays thus stay near the size of its
-    windows, not of the stream.
+    pair holds. Each chunk's windows are counted by one ``window_counts``
+    call, whose arrays stay near the size of the chunk's windows, not of
+    the stream.
     """
     dist = distance_function(distance_kind)
     ticks = [(a.start, a.end, b.start, b.end) for a, b in pairs]
@@ -212,20 +199,9 @@ def pair_distances(dataset, pairs, conditioning, target, distance_kind):
     pair_records = int((bounds[:, 1::2] - bounds[:, ::2]).sum(axis=1).max())
     step = max(1, CHUNK_CELLS // max(space, pair_records, 1))
     for chunk in (bounds[i:i + step] for i in range(0, len(bounds), step)):
-        records = _window_records(chunk)
-        keys, ids = key_ids(dataset, names, records)
+        keys, counts = window_counts(dataset, names, chunk.reshape(-1, 2))
+        a, b = counts[0::2], counts[1::2]
         starts, group = key_runs(keys, len(conditioning))
-        k = len(keys)
-        edges, where = np.unique(chunk, return_inverse=True)
-        where = where.reshape(chunk.shape)
-        # prefix row j counts the records from edges[0] up to edges[j]
-        prefix_row = np.searchsorted(edges, records, side="right")
-        usable = ids >= 0
-        prefix = np.bincount(prefix_row[usable] * k + ids[usable],
-                             minlength=len(edges) * k).reshape(len(edges), k)
-        np.cumsum(prefix, axis=0, out=prefix)
-        a = prefix[where[:, 1]] - prefix[where[:, 0]]
-        b = prefix[where[:, 3]] - prefix[where[:, 2]]
         m_a, m_b = np.add.reduceat(a, starts, axis=1), np.add.reduceat(b, starts, axis=1)
         with np.errstate(divide="ignore", invalid="ignore"):
             d = dist(a, b, m_a[:, group], m_b[:, group], starts)

@@ -28,6 +28,9 @@ from .measures import compute_drift  # noqa: F401 - a call point perfbench/spans
 ADJACENT = "adjacent-before-after"
 CONSECUTIVE = "consecutive"
 
+# the CSV columns of a series, in order
+SERIES_FIELDS = ("time",) + MEASUREMENT_FIELDS
+
 
 class SweepError(ValueError):
     pass
@@ -113,7 +116,7 @@ class DriftSeries:
         return rows
 
     def to_csv(self) -> str:
-        return rows_to_csv(self.to_rows(), ("time",) + MEASUREMENT_FIELDS)
+        return rows_to_csv(self.to_rows(), SERIES_FIELDS)
 
     def to_json(self) -> str:
         return json.dumps({"status": self.status, "points": self.to_rows()},

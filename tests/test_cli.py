@@ -398,11 +398,34 @@ def test_discretizer_sidecar_enters_provenance_hash(workspace, capsys):
     (["series", "--span", "0"], "span/step must be positive"),
     (["measure", "--window-a", "5", "--window-b", "100:200"],
      "window must be START:END ticks, got '5'"),
-], ids=["span-5x", "span-0", "window-a-5"])
+    (["measure", "--window-a", "0:10", "--window-b", "10:5"], "empty interval [10, 5)"),
+    (["map", "--kind", "pairwise-joint", "--window-a", "5:5", "--window-b", "0:10"],
+     "empty interval [5, 5)"),
+], ids=["span-5x", "span-0", "window-a-5", "window-b-reversed", "window-a-empty"])
 def test_bad_span_or_window_fails_nonzero(workspace, capsys, command, message):
     rc = run_cli([command[0], *base_args(workspace), *command[1:]])
     assert rc == 1
     assert capsys.readouterr().err == f"driftmap: error: {message}\n"
+    assert not (workspace / "out").exists()
+
+
+@pytest.mark.parametrize("command, message", [
+    (["measure", "--window-a", "0:10", "--window-b", "10:5"], "empty interval [10, 5)"),
+    (["map", "--kind", "posterior-pairwise", "--window-a", "0:x", "--window-b", "10:20"],
+     "window must be START:END ticks, got '0:x'"),
+], ids=["measure", "map"])
+def test_bad_window_fails_before_the_data_is_read(workspace, capsys, monkeypatch, command,
+                                                  message):
+    monkeypatch.setattr("driftmap.cli.ingest_records", None)  # reading would fail
+    assert run_cli([command[0], *base_args(workspace), *command[1:]]) == 1
+    assert capsys.readouterr().err == f"driftmap: error: {message}\n"
+
+
+def test_series_rejects_a_non_integer_marker(workspace, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli(["series", *base_args(workspace), "--marker", "x"])
+    assert exit_info.value.code != 0
+    assert "--marker" in capsys.readouterr().err
     assert not (workspace / "out").exists()
 
 

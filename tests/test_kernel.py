@@ -25,6 +25,7 @@ from driftmap.estimate import (
     estimate_conditional,
     estimate_distribution,
     select_window,
+    window_counts,
 )
 from driftmap import measures
 from driftmap.measures import (
@@ -149,6 +150,54 @@ def test_key_space_beyond_int64_falls_back_to_row_compaction():
     m = compute_drift(ds, wa, wb, "covariate", subset)
     want = _sparse_tvd([r[:2] for r in rows[:30]], [r[:2] for r in rows[30:]])
     assert m.magnitude == pytest.approx(want, abs=TOL)
+
+
+def _coded_stream(row_keys):
+    """40 records over a0, a1 and a binary label, 15% of covariate codes
+    missing; with ``row_keys`` the covariates' cardinalities are 3^26, so
+    mixed-radix keys would overflow an int64 and rows are compacted."""
+    big = 3 ** 26
+    rng = np.random.default_rng(3)
+    values = rng.choice([0, 1, big - 1] if row_keys else [0, 1, 2], size=(40, 2))
+    values[rng.random(values.shape) < 0.15] = MISSING_CODE
+    labels = rng.integers(0, 2, size=(40, 1))
+    ds = build_encoded(np.hstack([values, labels]), [3, 3, 2])
+    if row_keys:
+        ds = dataclasses.replace(ds, cardinalities=(big, big, 2))
+        assert math.prod(ds.cardinalities) > MAX_KEY_SPACE
+    return ds
+
+
+def _assert_window_counts_match_a_scan(ds, names, bounds):
+    """``window_counts`` against a Counter of the complete code rows in each range."""
+    cols = ds.column_indices(names)
+    rows = [tuple(r) for r in ds.codes[:, cols].tolist()]
+    want = [Counter(r for r in rows[lo:hi] if MISSING_CODE not in r) for lo, hi in bounds]
+    keys, counts = window_counts(ds, names, bounds)
+    key_rows = [tuple(k) for k in keys.tolist()]
+    assert key_rows == sorted(set().union(*want))
+    assert counts.dtype == np.int64 and counts.shape == (len(bounds), len(key_rows))
+    assert [{k: c for k, c in zip(key_rows, row) if c} for row in counts.tolist()] == want
+
+
+@pytest.mark.parametrize("row_keys", [False, True], ids=["int64-keys", "row-keys"])
+@pytest.mark.parametrize("bounds", [
+    [(0, 20), (10, 30)],
+    [(0, 40), (12, 18), (15, 16)],
+    [(0, 10), (10, 20), (20, 40)],
+    [(5, 5), (0, 12), (12, 12), (40, 40)],
+    [(7, 7)],
+    [(30, 40), (0, 10), (30, 40)],
+], ids=["overlapping", "nested", "edge-sharing", "with-empty", "only-empty", "unsorted"])
+def test_window_counts_match_a_per_window_scan(bounds, row_keys):
+    _assert_window_counts_match_a_scan(_coded_stream(row_keys), ("a1", "label", "a0"), bounds)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.booleans(), st.lists(st.tuples(st.integers(0, 40), st.integers(0, 40)).map(sorted),
+                               min_size=1, max_size=6))
+def test_window_counts_match_a_scan_on_any_ranges(row_keys, bounds):
+    _assert_window_counts_match_a_scan(_coded_stream(row_keys), ("a0", "a1"), bounds)
 
 
 def _all_measures(names, class_name="label"):

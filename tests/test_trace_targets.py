@@ -8,6 +8,8 @@ but no other test, so this installs the tracer on the module namespace
 check leaves no files under ``perfbench/``.
 """
 
+import ast
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -29,3 +31,20 @@ def test_tracer_installs_on_every_layer():
     done = subprocess.run([sys.executable, "-B", "-c", code], cwd=ROOT,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+def test_every_unused_import_is_a_name_the_tracer_wraps():
+    """An import kept only as a patch target (``noqa: F401``) must be one the
+    tracer wraps; a shim kept for a test, or for nothing, fails here."""
+    install = (ROOT / "perfbench" / "spans.py").read_text().split("\ndef install(", 1)[1]
+    wrapped = set(re.findall(r"\w+", install))
+    unwrapped = []
+    for path in sorted((ROOT / "src" / "driftmap").glob("*.py")):
+        text = path.read_text()
+        lines = text.splitlines()
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and any(
+                    "noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno]):
+                names = (alias.asname or alias.name for alias in node.names)
+                unwrapped += [f"{path.name}: {n}" for n in names if n not in wrapped]
+    assert unwrapped == []
