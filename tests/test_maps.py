@@ -310,6 +310,21 @@ def test_every_builder_rejects_an_empty_attribute_list(build, shape):
     (("a0", "a0"), "duplicate attributes in subset"),
     (("a0", "zz"), "unknown attributes in subset: ['zz']"),
 ], ids=["repeated", "unknown"])
+def test_every_builder_rejects_repeated_or_unknown_names_before_counting(
+        build, attributes, message, monkeypatch):
+    # every map cell is counted through pair_distances, which would fail
+    ds = build_encoded([[0, 0, 0], [1, 1, 1]] * 2, [2, 2, 2])
+    monkeypatch.setattr("driftmap.measures.pair_distances", None)
+    monkeypatch.setattr("driftmap.maps.pair_distances", None)
+    with pytest.raises(EstimationError, match=re.escape(message)):
+        build(ds, *two_windows(2), attributes)
+
+
+@pytest.mark.parametrize("build", _BUILDERS, ids=_BUILDER_IDS)
+@pytest.mark.parametrize("attributes, message", [
+    (("a0", "a0"), "duplicate attributes in subset"),
+    (("a0", "zz"), "unknown attributes in subset: ['zz']"),
+], ids=["repeated", "unknown"])
 def test_every_builder_checks_names_before_compacting_rows(
         build, attributes, message, monkeypatch):
     # every map cell counts its windows with window_counts, which would fail
