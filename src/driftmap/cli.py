@@ -16,6 +16,7 @@ import hashlib
 import io
 import json
 import sys
+from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 
@@ -27,7 +28,7 @@ from .discretize import (
     apply_discretizer,
     fit_discretizer,
 )
-from .estimate import CLASS_ONLY, JOINT, AttributeSubset, TimeInterval
+from .estimate import CLASS_ONLY, JOINT, AttributeSubset, EstimationError, TimeInterval
 from .measures import (
     TOTAL_VARIATION,
     HELLINGER,
@@ -63,7 +64,7 @@ class CliError(ValueError):
 def _parse_span(text, schema: AttributeSchema) -> int:
     """A span/step value: integer ticks, or 'Nd'/'Nw' resolved via the
     schema's declared ticks_per_day."""
-    text = str(text).strip()
+    given = text = str(text).strip()
     unit = 1
     if text.endswith(("d", "w")):
         if schema.ticks_per_day is None:
@@ -74,7 +75,7 @@ def _parse_span(text, schema: AttributeSchema) -> int:
     try:
         value = int(text) * unit
     except ValueError:
-        raise CliError(f"unparseable span {text!r}") from None
+        raise CliError(f"unparseable span {given!r}") from None
     if value <= 0:
         raise CliError("span/step must be positive")
     return value
@@ -136,13 +137,20 @@ def _parse_formats(args) -> set[str]:
     return formats
 
 
-def _parse_interval(text: str) -> TimeInterval:
-    """'START:END' -> its interval; an empty or reversed one fails as such."""
-    try:
-        start, end = map(int, text.split(":"))
-    except ValueError:
-        raise CliError(f"window must be START:END ticks, got {text!r}") from None
-    return TimeInterval(start, end)
+def _windows(args) -> tuple[TimeInterval, TimeInterval]:
+    """--window-a and --window-b, each 'START:END', as intervals; an empty or
+    reversed one fails as such, naming its flag."""
+    windows = []
+    for flag, text in (("--window-a", args.window_a), ("--window-b", args.window_b)):
+        try:
+            start, end = map(int, text.split(":"))
+        except ValueError:
+            raise CliError(f"window must be START:END ticks, got {text!r}") from None
+        try:
+            windows.append(TimeInterval(start, end))
+        except EstimationError as exc:
+            raise CliError(f"{flag}: {exc}") from None
+    return windows[0], windows[1]
 
 
 def _provenance_hash(payload: dict) -> str:
@@ -177,12 +185,22 @@ def _write_artifacts(out_dir, formats: set[str], artifacts: dict) -> list[Path]:
     return written
 
 
-def _load_pipeline(args) -> tuple[dict, AttributeSchema, EncodedDataset, str]:
-    """Config + data -> (analysis section, schema, encoded dataset, provenance seed)."""
-    config_text = Path(args.config).read_text()
+@dataclass(frozen=True)
+class Config:
+    """The config document, read before any data: its text (hashed into the
+    provenance), the schema, the analysis section and the configured bins."""
+
+    text: str
+    schema: AttributeSchema
+    analysis: dict
+    bins: int
+
+
+def _load_config(args) -> Config:
+    text = Path(args.config).read_text()
     import yaml
 
-    config = yaml.safe_load(config_text)
+    config = yaml.safe_load(text)
     schema = parse_schema(config)
     analysis = check_keys(config.get("analysis"), ANALYSIS_KEYS, "analysis")
     discretization = check_keys(config.get("discretization"), DISCRETIZATION_KEYS,
@@ -190,30 +208,34 @@ def _load_pipeline(args) -> tuple[dict, AttributeSchema, EncodedDataset, str]:
     bins = discretization.get("bins", DEFAULT_BIN_COUNT)
     if not isinstance(bins, int) or isinstance(bins, bool):
         raise CliError(f"discretization.bins must be an integer, got {bins!r}")
+    return Config(text, schema, analysis, bins)
 
+
+def _load_data(args, config: Config) -> tuple[EncodedDataset, str]:
+    """Ingest, fit (or read the sidecar) and apply -> (encoded dataset, provenance seed)."""
     data_path = Path(args.data)
     data_bytes = data_path.read_bytes()
     fmt = args.format or ("arff" if data_path.suffix.lower() == ".arff" else "csv")
-    raw = ingest_records(data_bytes, fmt, schema)
+    raw = ingest_records(data_bytes, fmt, config.schema)
 
     # a sidecar fixes the bins, so --bins enters the hash only when fitting
     if args.discretizer:
         sidecar_text = Path(args.discretizer).read_text()
-        discretizer = Discretizer.from_json(sidecar_text, schema)
+        discretizer = Discretizer.from_json(sidecar_text, config.schema)
         fitting = {"discretizer_sha256": hashlib.sha256(sidecar_text.encode()).hexdigest()}
     else:
-        bins = bins if args.bins is None else args.bins
+        bins = config.bins if args.bins is None else args.bins
         discretizer = fit_discretizer(raw, bins)
         fitting = {"bins": bins}
     encoded = apply_discretizer(raw, discretizer)
 
     seed = _provenance_hash({
-        "config_sha256": hashlib.sha256(config_text.encode()).hexdigest(),
+        "config_sha256": hashlib.sha256(config.text.encode()).hexdigest(),
         "data_sha256": hashlib.sha256(data_bytes).hexdigest(),
         "format": fmt,
         **fitting,
     })
-    return analysis, schema, encoded, seed
+    return encoded, seed
 
 
 def _provenance_doc(args, seed: str, extra: dict) -> dict:
@@ -245,7 +267,7 @@ def _encoded_csv(encoded: EncodedDataset) -> str:
 
 
 def cmd_encode(args) -> dict:
-    _, schema, encoded, seed = _load_pipeline(args)
+    encoded, seed = _load_data(args, _load_config(args))
     key = _provenance_hash({"cmd": "encode", "seed": seed})
     return {
         f"encoded_{key}.csv": partial(_encoded_csv, encoded),
@@ -261,12 +283,14 @@ def cmd_encode(args) -> dict:
 
 
 def cmd_measure(args) -> dict:
-    window_a, window_b = map(_parse_interval, (args.window_a, args.window_b))
-    analysis, schema, encoded, seed = _load_pipeline(args)
-    distance = _distance(args, analysis)
-    measure_args = _measure_args(args, analysis, list(MEASURE_ROLES))
+    window_a, window_b = _windows(args)
+    config = _load_config(args)
+    distance = _distance(args, config.analysis)
+    measure_args = _measure_args(args, config.analysis, list(MEASURE_ROLES))
+    specs = _measure_specs(measure_args, config.schema, distance)
+    encoded, seed = _load_data(args, config)
     results = [compute_drift(encoded, window_a, window_b, m.measure_kind, m.subset, distance)
-               for m in _measure_specs(measure_args, schema, distance)]
+               for m in specs]
 
     key = _provenance_hash({
         "cmd": "measure", "seed": seed, "distance": distance,
@@ -287,7 +311,8 @@ def cmd_measure(args) -> dict:
 
 
 def cmd_series(args) -> dict:
-    analysis, schema, encoded, seed = _load_pipeline(args)
+    config = _load_config(args)
+    analysis, schema = config.analysis, config.schema
     distance = _distance(args, analysis)
     step = _parse_span(args.step or analysis.get("step", 1), schema)
     span = _parse_span(args.span or analysis.get("span", 1), schema)
@@ -295,6 +320,7 @@ def cmd_series(args) -> dict:
     measure_args = _measure_args(args, analysis, ["covariate"])
     spec = SweepSpec(compute_step=step, span=span, alignment=alignment,
                      measures=_measure_specs(measure_args, schema, distance))
+    encoded, seed = _load_data(args, config)
     series = drift_series(encoded, spec)
 
     key = _provenance_hash({
@@ -326,10 +352,11 @@ def cmd_map(args) -> dict:
     if args.classes_on_map and args.kind != "pairwise-joint":
         raise CliError(f"--classes-on-map applies only to --kind pairwise-joint, "
                        f"not {args.kind!r}")
-    window_a, window_b = map(_parse_interval, (args.window_a, args.window_b))
-    analysis, schema, encoded, seed = _load_pipeline(args)
-    distance = _distance(args, analysis)
+    window_a, window_b = _windows(args)
+    config = _load_config(args)
+    distance = _distance(args, config.analysis)
     attributes = None if args.subset is None else _name_list(args.subset, "--subset")
+    encoded, seed = _load_data(args, config)
     extra = {"include_class": True} if args.classes_on_map else {}
     grids = getattr(maps_mod, _MAP_BUILDERS[args.kind])(
         encoded, window_a, window_b, attributes, distance, **extra)

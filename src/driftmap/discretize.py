@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .schema import NUMERIC, AttributeSchema, RawDataset, factorize, read_only
+from .schema import NUMERIC, AttributeSchema, RawDataset, read_only
 
 MISSING_CODE = -1
 
@@ -187,13 +187,14 @@ def fit_discretizer(dataset: RawDataset, bin_count: int = DEFAULT_BIN_COUNT) -> 
         if attr.kind == NUMERIC:
             observed = column[~np.isnan(column)]
         else:
-            observed = [v for v in dict.fromkeys(column.tolist()) if v is not None]
+            labels = dataset.labels[attr.name]
+            first = np.sort(np.unique(column, return_index=True)[1])  # first-seen order
+            observed = [labels[i] for i in column[first].tolist() if labels[i] is not None]
         if not len(observed):
             raise DiscretizationError(f"attribute {attr.name!r} has no non-missing values")
         if attr.kind == NUMERIC:
             cut_points[attr.name] = _equal_frequency_cuts(observed, bin_count)
-        else:
-            # declared labels first, then unseen observed ones in first-seen order
+        else:  # declared labels first, then unseen observed ones in first-seen order
             declared = list(attr.declared_domain or ())
             labels = declared + [v for v in observed if v not in declared]
             label_codes[attr.name] = {label: code for code, label in enumerate(labels)}
@@ -224,10 +225,9 @@ def apply_discretizer(dataset: RawDataset, discretizer: Discretizer) -> EncodedD
             # one lookup per distinct label, spread back over the records
             table = discretizer.label_codes[attr.name]
             overflow = discretizer.overflow_code(attr.name)
-            distinct, inverse = factorize(column.tolist())
             lookup = np.array([MISSING_CODE if v is None else table.get(str(v), overflow)
-                               for v in distinct], dtype=np.int64)
-            codes[:, j] = lookup[inverse]
+                               for v in dataset.labels[attr.name]], dtype=np.int64)
+            codes[:, j] = lookup[column]
             overflow_counts[attr.name] = int(np.count_nonzero(codes[:, j] == overflow))
 
     seen_overflow = {k for k, c in overflow_counts.items() if c > 0}

@@ -105,11 +105,11 @@ def read_only(array) -> np.ndarray:
     return view
 
 
-def factorize(values) -> tuple[list, np.ndarray]:
+def factorize(values) -> tuple[tuple, np.ndarray]:
     """Distinct values in first-seen order, and each value's index into them."""
     distinct = dict.fromkeys(values)
     index = {value: i for i, value in enumerate(distinct)}
-    return list(distinct), np.fromiter(map(index.__getitem__, values), np.intp, len(values))
+    return tuple(distinct), np.fromiter(map(index.__getitem__, values), np.intp, len(values))
 
 
 @dataclass(frozen=True)
@@ -119,14 +119,15 @@ class RawDataset:
     ``timestamps`` is a sorted int64 array, input order preserved on ties.
     ``columns`` lines up with ``schema.attributes``: a numeric column is
     float64 with NaN for a missing cell (ingest rejects non-finite values,
-    so NaN means missing and nothing else), a categorical column is an
-    object array of labels with ``None`` for a missing cell. All arrays are
-    read-only.
+    so NaN means missing and nothing else), a categorical column is intp
+    indices into ``labels[name]``, where ``None`` marks a missing cell.
+    All arrays are read-only.
     """
 
     schema: AttributeSchema
     timestamps: np.ndarray = field(repr=False)
     columns: tuple[np.ndarray, ...] = field(repr=False)
+    labels: dict[str, tuple] = field(repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "timestamps", read_only(self.timestamps))
@@ -138,14 +139,15 @@ class RawDataset:
         ``schema.attributes`` and ``None`` for a missing cell; stably sorted
         by timestamp."""
         records = list(records)
-        columns = []
+        columns, labels = [], {}
         for j, attr in enumerate(schema.attributes):
             values = [v[j] for _, v in records]
             if attr.kind == NUMERIC:
                 columns.append(np.array([math.nan if v is None else v for v in values], float))
             else:
-                columns.append(np.array(values, dtype=object))
-        return _sorted(schema, np.array([ts for ts, _ in records], np.int64), columns)
+                labels[attr.name], index = factorize(values)
+                columns.append(index)
+        return _sorted(schema, np.array([ts for ts, _ in records], np.int64), columns, labels)
 
     def __len__(self) -> int:
         return len(self.timestamps)
@@ -162,7 +164,7 @@ class RawDataset:
         values = self.columns[idx].tolist()
         if self.schema.attributes[idx].kind == NUMERIC:
             return [None if math.isnan(v) else v for v in values]
-        return values
+        return list(map(self.labels[name].__getitem__, values))
 
     def to_csv(self) -> str:
         """Serialize back to CSV (timestamp column first). Round-trips."""
@@ -174,12 +176,12 @@ class RawDataset:
         return out.getvalue()
 
 
-def _sorted(schema: AttributeSchema, timestamps: np.ndarray, columns) -> RawDataset:
+def _sorted(schema: AttributeSchema, timestamps: np.ndarray, columns, labels) -> RawDataset:
     """A :class:`RawDataset` of the columns stably sorted by timestamp."""
     if np.any(timestamps[1:] < timestamps[:-1]):
         order = np.argsort(timestamps, kind="stable")  # ties keep input order
         timestamps, columns = timestamps[order], [c[order] for c in columns]
-    return RawDataset(schema=schema, timestamps=timestamps, columns=tuple(columns))
+    return RawDataset(schema, timestamps, tuple(columns), labels)
 
 
 def check_keys(section, allowed: tuple[str, ...], where: str) -> dict:
@@ -266,11 +268,13 @@ def _numeric_column(cells: list[str], name: str):
     return values, None
 
 
-def _categorical_column(cells: list[str]) -> np.ndarray:
-    """Labels with ARFF quoting removed, ``None`` for missing cells."""
+def _categorical_column(cells: list[str]) -> tuple[np.ndarray, tuple]:
+    """(each cell's index, the labels in first-seen order): a cell is stripped,
+    ``?`` or empty reads ``None``, ARFF quoting is removed, and alike cells share one label."""
     distinct, inverse = factorize(cells)
-    labels = [None if value in MISSING_MARKERS else _unquote(value) for value in distinct]
-    return np.array(labels, dtype=object)[inverse]
+    labels, index = factorize([None if value in MISSING_MARKERS else _unquote(value)
+                               for value in map(str.strip, distinct)])
+    return index[inverse], labels
 
 
 def _unquote(value: str) -> str:
@@ -317,12 +321,11 @@ def _clean_csv(text: str, schema: AttributeSchema) -> RawDataset | None:
 
     Within a line, numpy's tokenizer (``quotechar='"'``, no comments) splits
     fields as ``csv.reader`` does, both drop blank lines, and a float is
-    parsed by the routine ``float()`` uses. So where every row has the
-    header's arity, every number is finite, every tick an int64 that
-    ``Decimal`` takes too, and every label is neither missing nor padded
-    nor quoted once split, the dataset is the row-by-row one bit for bit.
-    Anything else returns ``None`` and the row-by-row path decides, with
-    its messages.
+    parsed by the routine ``float()`` uses; labels are read from the split
+    fields as on the row-by-row path. So where every row has the header's
+    arity, every number is finite and every tick an int64 that ``Decimal``
+    takes too, the dataset is the row-by-row one bit for bit. Anything
+    else returns ``None`` and the row-by-row path decides, with its messages.
     """
     lines = text.split("\n")
     if "\r" in text and text.count("\r") != text.count("\r\n"):
@@ -369,19 +372,16 @@ def _clean_csv(text: str, schema: AttributeSchema) -> RawDataset | None:
         timestamps = table[f"f{ts_index}"].copy()
         if np.any(timestamps == np.iinfo(np.int64).min):  # |tick| < 2**63 in the row path
             return None
-    columns = []
+    columns, labels = [], {}
     for attr, j in zip(schema.attributes, where):
-        values = table[f"f{j}"]
         if attr.kind == NUMERIC:
+            values = table[f"f{j}"].copy()
             if not np.isfinite(values).all():
                 return None
-            columns.append(values.copy())
-            continue
-        distinct, inverse = factorize(values.tolist())
-        if any(v in MISSING_MARKERS or _unquote(v.strip()) != v for v in distinct):
-            return None
-        columns.append(np.array(distinct, dtype=object)[inverse])
-    return _sorted(schema, timestamps, columns)
+        else:
+            values, labels[attr.name] = _categorical_column(table[f"f{j}"].tolist())
+        columns.append(values)
+    return _sorted(schema, timestamps, columns, labels)
 
 
 def _rows_from_arff(text: str) -> tuple[list[str], list[list[str]]]:
@@ -477,14 +477,14 @@ def _ingest_rows(header: list[str], rows: list[list[str]], schema: AttributeSche
     else:
         timestamps, error = _timestamp_column(cells(ts_index))
         errors.append(error)
-    columns = []
+    columns, labels = [], {}
     for attr in schema.attributes:
         column = cells(col_index[attr.name])
         if attr.kind == NUMERIC:
             values, error = _numeric_column(column, attr.name)
             errors.append(error)
         else:
-            values = _categorical_column(column)
+            values, labels[attr.name] = _categorical_column(column)
         columns.append(values)
 
     first = min(((e[0], order, e[1]) for order, e in enumerate(errors) if e), default=None)
@@ -492,4 +492,4 @@ def _ingest_rows(header: list[str], rows: list[list[str]], schema: AttributeSche
         raise IngestError(f"row {first[0] + 1}: {first[2]}")
     if n_ok < len(rows):
         raise IngestError(f"row {n_ok + 1}: expected {width} fields, got {len(rows[n_ok])}")
-    return _sorted(schema, timestamps, columns)
+    return _sorted(schema, timestamps, columns, labels)

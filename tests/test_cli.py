@@ -396,12 +396,14 @@ def test_discretizer_sidecar_enters_provenance_hash(workspace, capsys):
 @pytest.mark.parametrize("command, message", [
     (["series", "--span", "5x"], "unparseable span '5x'"),
     (["series", "--span", "0"], "span/step must be positive"),
+    (["series", "--span", "1.5d"], "unparseable span '1.5d'"),
     (["measure", "--window-a", "5", "--window-b", "100:200"],
      "window must be START:END ticks, got '5'"),
-    (["measure", "--window-a", "0:10", "--window-b", "10:5"], "empty interval [10, 5)"),
+    (["measure", "--window-a", "0:10", "--window-b", "10:5"],
+     "--window-b: empty interval [10, 5)"),
     (["map", "--kind", "pairwise-joint", "--window-a", "5:5", "--window-b", "0:10"],
-     "empty interval [5, 5)"),
-], ids=["span-5x", "span-0", "window-a-5", "window-b-reversed", "window-a-empty"])
+     "--window-a: empty interval [5, 5)"),
+], ids=["span-5x", "span-0", "span-1.5d", "window-a-5", "window-b-reversed", "window-a-empty"])
 def test_bad_span_or_window_fails_nonzero(workspace, capsys, command, message):
     rc = run_cli([command[0], *base_args(workspace), *command[1:]])
     assert rc == 1
@@ -409,13 +411,23 @@ def test_bad_span_or_window_fails_nonzero(workspace, capsys, command, message):
     assert not (workspace / "out").exists()
 
 
-@pytest.mark.parametrize("command, message", [
-    (["measure", "--window-a", "0:10", "--window-b", "10:5"], "empty interval [10, 5)"),
-    (["map", "--kind", "posterior-pairwise", "--window-a", "0:x", "--window-b", "10:20"],
+@pytest.mark.parametrize("command, analysis, message", [
+    (["measure", "--window-a", "0:10", "--window-b", "10:5"], "",
+     "--window-b: empty interval [10, 5)"),
+    (["map", "--kind", "posterior-pairwise", "--window-a", "0:x", "--window-b", "10:20"], "",
      "window must be START:END ticks, got '0:x'"),
-], ids=["measure", "map"])
+    (["series", "--span", "5x"], "", "unparseable span '5x'"),
+    (["series", "--measure", "nope"], "", "unknown measure kind 'nope'"),
+    (["series"], "analysis: {alignment: sideways}\n", "unknown alignment 'sideways'"),
+    (["measure", "--window-a", "0:10", "--window-b", "10:20"], "analysis: {distance: tvd}\n",
+     "unknown analysis.distance 'tvd'; expected 'total_variation' or 'hellinger'"),
+    (["map", "--kind", "pairwise-joint", "--window-a", "0:10", "--window-b", "10:20",
+      "--subset", "a,,b"], "",
+     "--subset needs a comma list of attribute names, got 'a,,b'"),
+], ids=["measure", "map", "series-span", "series-measure", "alignment", "distance", "subset"])
 def test_bad_window_fails_before_the_data_is_read(workspace, capsys, monkeypatch, command,
-                                                  message):
+                                                  analysis, message):
+    (workspace / "config.yaml").write_text(CONFIG + analysis)
     monkeypatch.setattr("driftmap.cli.ingest_records", None)  # reading would fail
     assert run_cli([command[0], *base_args(workspace), *command[1:]]) == 1
     assert capsys.readouterr().err == f"driftmap: error: {message}\n"

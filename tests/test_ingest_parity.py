@@ -305,10 +305,10 @@ EDGES = {
 def _bits(dataset: RawDataset):
     """Everything a dataset holds, down to the bytes of its arrays."""
     def array(values):
-        if values.dtype == object:
-            return [(type(v), v) for v in values.tolist()]
         return values.dtype.str, values.shape, values.tobytes()
-    return dataset.schema, array(dataset.timestamps), [array(c) for c in dataset.columns]
+    labels = {name: [(type(v), v) for v in values] for name, values in dataset.labels.items()}
+    return (dataset.schema, array(dataset.timestamps), [array(c) for c in dataset.columns],
+            labels)
 
 
 def _row_by_row(text, schema):
@@ -388,12 +388,13 @@ def test_one_pass_read_gives_up_or_matches_row_by_row(case):
     assert _bits(fast) == _bits(_row_by_row(text, schema))
 
 
-def _stream_text(rows: int, timestamps: bool) -> tuple[str, AttributeSchema]:
+def _stream_text(rows: int, timestamps: bool, labels) -> tuple[str, AttributeSchema]:
     """A CSV shaped like the benchmark stream: five numeric covariates with
-    six decimals and an UP/DOWN class, optionally after an int tick column."""
+    six decimals and a class drawn from the cells ``labels``, optionally
+    after an int tick column."""
     rng = np.random.default_rng(0)
     values = rng.random((rows, 5))
-    labels = np.where(rng.random(rows) < 0.5, "UP", "DOWN")
+    labels = np.asarray(labels)[rng.integers(0, len(labels), rows)]
     names = ["nswprice", "nswdemand", "vicprice", "vicdemand", "transfer"]
     head = (["t"] if timestamps else []) + names + ["class"]
     lines = [",".join(head)]
@@ -408,9 +409,13 @@ def _stream_text(rows: int, timestamps: bool) -> tuple[str, AttributeSchema]:
     return "\n".join(lines) + "\n", parse_schema(config)
 
 
-@pytest.mark.parametrize("timestamps", [False, True], ids=["record-index", "tick-column"])
-def test_clean_stream_never_reaches_the_row_by_row_path(monkeypatch, timestamps):
-    text, schema = _stream_text(10_000, timestamps)
+@pytest.mark.parametrize("timestamps, labels", [
+    (False, ["UP", "DOWN"]),
+    (True, ["UP", "DOWN"]),
+    (True, ["UP", " UP", '"UP"', "'UP'", "DOWN ", "'DOWN'", "?", ""]),
+], ids=["record-index", "tick-column", "padded-quoted-missing-labels"])
+def test_clean_stream_never_reaches_the_row_by_row_path(monkeypatch, timestamps, labels):
+    text, schema = _stream_text(10_000, timestamps, labels)
     want = _row_by_row(text, schema)
 
     def refuse(text):
@@ -419,4 +424,5 @@ def test_clean_stream_never_reaches_the_row_by_row_path(monkeypatch, timestamps)
     monkeypatch.setattr(sys.modules[_clean_csv.__module__], "_rows_from_csv", refuse)
     raw = ingest_records(text.encode(), "csv", schema)
     assert len(raw) == 10_000
+    assert set(raw.labels["class"]) <= {"UP", "DOWN", None}
     assert _bits(raw) == _bits(want)

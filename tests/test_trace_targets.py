@@ -1,4 +1,5 @@
-"""The benchmark's per-layer tracer still finds every name it wraps.
+"""The benchmark's per-layer tracer still finds every name it wraps, and
+each shared mechanism is still used in one place only.
 
 ``perfbench/spans.py`` replaces driftmap functions by timing wrappers at
 the module attributes where their callers look them up. Renaming or
@@ -48,3 +49,24 @@ def test_every_unused_import_is_a_name_the_tracer_wraps():
                 names = (alias.asname or alias.name for alias in node.names)
                 unwrapped += [f"{path.name}: {n}" for n in names if n not in wrapped]
     assert unwrapped == []
+
+
+# mechanism -> (the module, and the top-level definition in it or None for any,
+# that alone may use it): labels are factorized once, at ingest, and code rows
+# are counted by one kernel
+ONE_PATH = {"factorize": ("schema.py", None), "bincount": ("estimate.py", "window_counts")}
+
+
+def test_labels_and_counts_each_have_one_path():
+    strays = []
+    for path in sorted((ROOT / "src" / "driftmap").glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            where = getattr(top, "name", None)
+            for node in ast.walk(top):
+                name = getattr(node, "id", None) or getattr(node, "attr", None)
+                if isinstance(node, ast.alias):
+                    name = node.name
+                home = ONE_PATH.get(name)
+                if home and not (path.name == home[0] and home[1] in (None, where)):
+                    strays.append(f"{path.name}:{node.lineno}: {name}")
+    assert strays == []
