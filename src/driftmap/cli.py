@@ -39,7 +39,7 @@ from .measures import (
 )
 from .render import PlotStyle, render_heatmap, render_lineplot
 from .schema import AttributeSchema, check_keys, ingest_records, parse_schema
-from .temporal import ADJACENT, CONSECUTIVE, SERIES_FIELDS, MeasureSpec, SweepSpec, drift_series
+from .temporal import ADJACENT, CONSECUTIVE, MeasureSpec, SweepSpec, drift_series
 from .temporal import check_unique_measures, series_statistics
 
 # --kind -> its builder's name in driftmap.maps, looked up when the command runs
@@ -118,9 +118,12 @@ def _measure_args(args, analysis: dict, default: list[str]) -> list[str]:
 
 
 def _measure_specs(texts, schema: AttributeSchema, distance: str) -> tuple[MeasureSpec, ...]:
-    """--measure values -> MeasureSpecs; naming one measure twice is an error."""
+    """--measure values -> MeasureSpecs, their attributes checked against the
+    schema; naming one measure twice is an error."""
     specs = tuple(MeasureSpec(*_parse_measure(text, schema), distance_kind=distance)
                   for text in texts)
+    for spec in specs:
+        spec.subset.validate_against(schema)
     check_unique_measures(specs)
     return specs
 
@@ -328,18 +331,15 @@ def cmd_series(args) -> dict:
         "step": step, "span": span, "alignment": alignment,
         "measures": sorted(measure_args),
     })
-    rows = series.to_rows()
     artifacts = {
-        f"series_{key}.csv": rows_to_csv(rows, SERIES_FIELDS),
-        f"series_{key}.json": _json({
+        f"series_{key}.csv": series.to_csv(),
+        f"series_{key}.json": series.to_json({
             "provenance": _provenance_doc(args, seed, {
                 "command": "series", "distance": distance,
                 "step": step, "span": span, "alignment": alignment,
             }),
-            "status": series.status,
             "statistics": series_statistics(series) if len(series) else {},
-            "points": rows,
-        }),
+        }) + "\n",
     }
     if len(series):
         style = PlotStyle(vertical_markers=tuple(args.marker or ()),
@@ -356,6 +356,9 @@ def cmd_map(args) -> dict:
     config = _load_config(args)
     distance = _distance(args, config.analysis)
     attributes = None if args.subset is None else _name_list(args.subset, "--subset")
+    # a --kind is its map kind, dashed
+    maps_mod.map_attributes(config.schema, attributes, args.kind.replace("-", "_"),
+                            args.classes_on_map)
     encoded, seed = _load_data(args, config)
     extra = {"include_class": True} if args.classes_on_map else {}
     grids = getattr(maps_mod, _MAP_BUILDERS[args.kind])(

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .discretize import MISSING_CODE, EncodedDataset
+from .schema import AttributeSchema
 
 COVARIATES = "covariates-only"
 CLASS_ONLY = "class-only"
@@ -81,12 +82,13 @@ class AttributeSubset:
         classes = (class_name,) * (len(names) - len(rest))
         return cls(rest + classes, COVARIATES if not classes else JOINT if rest else CLASS_ONLY)
 
-    def validate_against(self, dataset: EncodedDataset) -> None:
-        known = set(dataset.schema.attribute_names)
+    def validate_against(self, schema: AttributeSchema) -> None:
+        """Every name is an attribute of ``schema`` and the role follows ``of``."""
+        known = set(schema.attribute_names)
         unknown = [n for n in self.names if n not in known]
         if unknown:
             raise EstimationError(f"unknown attributes in subset: {unknown}")
-        expected = AttributeSubset.of(self.names, dataset.schema.class_attribute)
+        expected = AttributeSubset.of(self.names, schema.class_attribute)
         if self != expected:
             raise EstimationError(f"subset {self.names} as {self.role!r} must be "
                                   f"{expected.names} as {expected.role!r}")
@@ -234,7 +236,7 @@ def _support(keys: np.ndarray, counts: np.ndarray) -> dict[tuple[int, ...], floa
 
 def estimate_distribution(window: WindowView, subset: AttributeSubset) -> DistributionEstimate:
     """ML estimate: observed-tuple counts over usable records, normalized."""
-    subset.validate_against(window.dataset)
+    subset.validate_against(window.dataset.schema)
     keys, (counts,) = window_counts(window.dataset, subset.names, [(window.lo, window.hi)])
     return DistributionEstimate(subset=subset, support=_support(keys, counts),
                                 sample_size=int(counts.sum()))
@@ -248,8 +250,8 @@ def estimate_conditional(
     """Family of ML target estimates, one per observed conditioning tuple."""
     if set(target.names) & set(conditioning.names):
         raise EstimationError("target and conditioning subsets must be disjoint")
-    target.validate_against(window.dataset)
-    conditioning.validate_against(window.dataset)
+    target.validate_against(window.dataset.schema)
+    conditioning.validate_against(window.dataset.schema)
 
     k = len(conditioning.names)
     keys, (counts,) = window_counts(window.dataset, conditioning.names + target.names,

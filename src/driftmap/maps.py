@@ -112,12 +112,13 @@ class HeatMapGrid:
         }, indent=2, sort_keys=True)
 
 
-def _attributes(dataset, attributes, map_kind, include_class=False) -> tuple[str, ...]:
-    """One map's attribute list, checked once: None means all covariates, and
-    ``include_class`` appends the class unless listed. An empty list, a repeated
-    or unknown name, or the class on any map but a pairwise joint one fails."""
-    class_name = dataset.schema.class_attribute
-    attributes = tuple(dataset.schema.covariate_names if attributes is None else attributes)
+def map_attributes(schema, attributes, map_kind, include_class=False) -> tuple[str, ...]:
+    """One map's attribute list, checked once against ``schema``: None means
+    all covariates, and ``include_class`` appends the class unless listed. An
+    empty list, a repeated or unknown name, or the class on any map but a
+    pairwise joint one fails."""
+    class_name = schema.class_attribute
+    attributes = tuple(schema.covariate_names if attributes is None else attributes)
     if not attributes:
         shape = "univariate" if map_kind == CONDITIONED_UNIVARIATE else "pairwise"
         raise GridError(f"{shape} map needs at least one attribute")
@@ -125,7 +126,7 @@ def _attributes(dataset, attributes, map_kind, include_class=False) -> tuple[str
         attributes += (class_name,)
     subset = (AttributeSubset.of(attributes, class_name) if map_kind == PAIRWISE_JOINT
               else AttributeSubset.covariates(attributes))
-    subset.validate_against(dataset)
+    subset.validate_against(schema)
     return attributes
 
 
@@ -170,7 +171,7 @@ def pairwise_joint_map(
     The diagonal holds univariate drift. When requested, the class attribute
     joins the grid as an ordinary last row/column, unless already listed.
     """
-    attributes = _attributes(dataset, attributes, PAIRWISE_JOINT, include_class)
+    attributes = map_attributes(dataset.schema, attributes, PAIRWISE_JOINT, include_class)
 
     def cell(names):
         subset = AttributeSubset.of(names, dataset.schema.class_attribute)
@@ -191,8 +192,10 @@ def _per_class_distances(dataset, window_a, window_b, names, distance_kind) -> l
     One-sided support maps to 1.0; a class absent from both windows is an
     insufficient-data cell (None).
     """
-    [(classes, _, _, d)] = pair_distances(dataset, [(window_a, window_b)],
-                                          (dataset.schema.class_attribute,), names, distance_kind)
+    pair = [(window_a.start, window_a.end, window_b.start, window_b.end)]
+    [(classes, _, _, (d,))] = pair_distances(dataset, pair, (dataset.schema.class_attribute,),
+                                             names, distance_kind)
+    # one pair: every tuple of the chunk is seen in one of its two windows
     found = dict(zip(classes[:, 0].tolist(), d.tolist()))
     return [found.get(code) for code in range(len(_class_labels(dataset)))]
 
@@ -211,7 +214,7 @@ def conditioned_univariate_map(
     prevalence. Weighting and summing a column family reproduces the scalar
     conditioned covariate drift.
     """
-    attributes = _attributes(dataset, attributes, CONDITIONED_UNIVARIATE)
+    attributes = map_attributes(dataset.schema, attributes, CONDITIONED_UNIVARIATE)
     cells = [_per_class_distances(dataset, window_a, window_b, (attr,), distance_kind)
              for attr in attributes]
     return _grid(CONDITIONED_UNIVARIATE, attributes, _class_labels(dataset), cells,
@@ -226,7 +229,7 @@ def conditioned_pairwise_map(
     distance_kind: str = TOTAL_VARIATION,
 ) -> list[HeatMapGrid]:
     """One attribute-pair grid per class; cells are unweighted inner distances."""
-    attributes = _attributes(dataset, attributes, CONDITIONED_PAIRWISE)
+    attributes = map_attributes(dataset.schema, attributes, CONDITIONED_PAIRWISE)
     per_class = _pairwise_cells(attributes, lambda names: _per_class_distances(
         dataset, window_a, window_b, names, distance_kind))
     return [_grid(CONDITIONED_PAIRWISE, attributes, attributes,
@@ -247,7 +250,7 @@ def posterior_pairwise_map(
     Posterior cells need not dominate their diagonal (conditioning, not
     conditioned, dimensionality grows), so no monotonicity bound applies.
     """
-    attributes = _attributes(dataset, attributes, POSTERIOR_PAIRWISE)
+    attributes = map_attributes(dataset.schema, attributes, POSTERIOR_PAIRWISE)
 
     def cell(names):
         subset = AttributeSubset.covariates(names)

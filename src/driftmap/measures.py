@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -173,30 +173,33 @@ def hellinger(p: DistributionEstimate, q: DistributionEstimate) -> float:
 
 
 def pair_distances(dataset, pairs, conditioning, target, distance_kind):
-    """For each ``(window_a, window_b)`` of ``pairs``, in order: count the
-    pair over ``conditioning + target`` and reduce it per conditioning tuple
-    seen in either window (one empty tuple when there is no conditioning).
-    Yields the tuples, their count in each window, and the distance between
-    the two windows' conditionals of ``target``.
+    """For the window pairs ``pairs`` (rows of ``(a_start, a_end, b_start,
+    b_end)`` ticks), in order and a chunk of consecutive pairs at a time:
+    count each pair over ``conditioning + target`` and reduce it per
+    conditioning tuple (one empty tuple when there is no conditioning).
+    Yields, per chunk, the tuples seen in any of its windows (tuples x
+    len(conditioning)) and three arrays of chunk pairs x tuples: each
+    tuple's count in window a, in window b, and the distance between the two
+    windows' conditionals of ``target``. A tuple that a pair counts in
+    neither window is not seen by that pair.
 
     A tuple observed in only one window has an undefined conditional on the
     other side; its distance is taken as 1.0 (the conditional's entire mass
     appeared or disappeared), which keeps every measure symmetric.
 
-    Consecutive pairs are counted in chunks of ``CHUNK_CELLS`` // max(S, R)
-    pairs, S bounding the key count (the product of the attributes'
-    cardinalities, capped at the record count) and R the most records a
-    pair holds. Each chunk's windows are counted by one ``window_counts``
-    call, whose arrays stay near the size of the chunk's windows, not of
-    the stream.
+    A chunk holds ``CHUNK_CELLS`` // max(S, R) pairs, S bounding the key
+    count (the product of the attributes' cardinalities, capped at the
+    record count) and R the most records a pair holds. Each chunk's windows
+    are counted by one ``window_counts`` call, whose arrays stay near the
+    size of the chunk's windows, not of the stream.
     """
     dist = distance_function(distance_kind)
-    ticks = [(a.start, a.end, b.start, b.end) for a, b in pairs]
-    bounds = np.searchsorted(dataset.timestamps, ticks, side="left").reshape(-1, 4)
+    bounds = np.searchsorted(dataset.timestamps, np.asarray(pairs, dtype=np.int64),
+                             side="left").reshape(-1, 4)
     names = conditioning + target
     space = min(math.prod(dataset.cardinalities[c] for c in dataset.column_indices(names)),
                 len(dataset))
-    pair_records = int((bounds[:, 1::2] - bounds[:, ::2]).sum(axis=1).max())
+    pair_records = int((bounds[:, 1::2] - bounds[:, ::2]).sum(axis=1).max(initial=0))
     step = max(1, CHUNK_CELLS // max(space, pair_records, 1))
     for chunk in (bounds[i:i + step] for i in range(0, len(bounds), step)):
         keys, counts = window_counts(dataset, names, chunk.reshape(-1, 2))
@@ -206,49 +209,83 @@ def pair_distances(dataset, pairs, conditioning, target, distance_kind):
         with np.errstate(divide="ignore", invalid="ignore"):
             d = dist(a, b, m_a[:, group], m_b[:, group], starts)
         d[(m_a == 0) | (m_b == 0)] = 1.0
-        tuples = keys[starts, :len(conditioning)]
-        for pair_a, pair_b, pair_d in zip(m_a, m_b, d):
-            seen = np.flatnonzero(pair_a + pair_b)
-            yield tuples[seen], pair_a[seen], pair_b[seen], pair_d[seen]
+        yield keys[starts, :len(conditioning)], m_a, m_b, d
 
 
-def _drift(kind, dataset, pairs, subset, distance_kind) -> list[DriftMeasurement]:
-    """The ``kind`` drift over ``subset`` for each window pair of ``pairs``.
+@dataclass(frozen=True)
+class DriftColumn:
+    """One measure at a sequence of window pairs, as arrays: ``magnitude``
+    (float64, NaN where a window is empty: the insufficient-data status) and
+    the sample sizes ``n_a``, ``n_b`` (int64)."""
 
-    A marginal kind is the distance between the two marginals. The
-    conditional kinds are the sum over conditioning tuples observed in
-    either window of 0.5 * (m_a/n_a + m_b/n_b) * inner distance, clamped at
-    1.0 like Hellinger, so rounding never lifts a magnitude above 1. The
-    weights are summed over integer counts, so the sum is exactly 1.0 when
-    every inner distance is 1.0 and exactly 0.0 when every one is 0.0.
+    measure_kind: str
+    distance_kind: str
+    subset: AttributeSubset
+    magnitude: np.ndarray = field(repr=False)
+    n_a: np.ndarray = field(repr=False)
+    n_b: np.ndarray = field(repr=False)
+
+    @property
+    def ok(self) -> np.ndarray:
+        return ~np.isnan(self.magnitude)
+
+    def measurement(self, i: int, window_a: TimeInterval,
+                    window_b: TimeInterval) -> DriftMeasurement:
+        """The ``i``-th value, whose window pair is ``window_a``, ``window_b``."""
+        ok = not math.isnan(self.magnitude[i])
+        return DriftMeasurement(
+            measure_kind=self.measure_kind,
+            distance_kind=self.distance_kind,
+            subset=self.subset,
+            window_a=window_a,
+            window_b=window_b,
+            magnitude=float(self.magnitude[i]) if ok else None,
+            sample_sizes=(int(self.n_a[i]), int(self.n_b[i])),
+            status=STATUS_OK if ok else STATUS_INSUFFICIENT,
+        )
+
+
+def _drift(kind, dataset, pairs, subset, distance_kind) -> DriftColumn:
+    """The ``kind`` drift over ``subset`` at each window pair of ``pairs``.
+
+    A marginal kind is the distance between the two marginals, read straight
+    out of the reduction. The conditional kinds are the sum over
+    conditioning tuples observed in either window of 0.5 * (m_a/n_a +
+    m_b/n_b) * inner distance, clamped at 1.0 like Hellinger, so rounding
+    never lifts a magnitude above 1. The weights are summed over integer
+    counts, so the sum is exactly 1.0 when every inner distance is 1.0 and
+    exactly 0.0 when every one is 0.0; it runs over each pair's own tuples,
+    as a zero term would move the rounding of ``@``.
     """
     if subset.role != MEASURE_ROLES[kind]:
         raise MeasureError(f"{kind} drift needs a {MEASURE_ROLES[kind]} subset")
-    subset.validate_against(dataset)
+    subset.validate_against(dataset.schema)
     label = (dataset.schema.class_attribute,)
     conditioning, target = {CONDITIONED_COVARIATE_DRIFT: (label, subset.names),
                             POSTERIOR_DRIFT: (subset.names, label)}.get(kind, ((), subset.names))
-    results = []
-    for (window_a, window_b), (_, m_a, m_b, d) in zip(
-            pairs, pair_distances(dataset, pairs, conditioning, target, distance_kind)):
-        n_a, n_b = int(m_a.sum()), int(m_b.sum())
-        magnitude = None
-        if n_a and n_b:
-            if conditioning:
-                magnitude = min(1.0, float((m_a * n_b + m_b * n_a) @ d) / (2 * n_a * n_b))
-            else:
-                magnitude = float(d[0])
-        results.append(DriftMeasurement(
-            measure_kind=kind,
-            distance_kind=distance_kind,
-            subset=subset,
-            window_a=window_a,
-            window_b=window_b,
-            magnitude=magnitude,
-            sample_sizes=(n_a, n_b),
-            status=STATUS_OK if magnitude is not None else STATUS_INSUFFICIENT,
-        ))
-    return results
+    # each starts empty, so that no pairs give empty columns
+    magnitudes, sizes_a, sizes_b = [np.zeros(0)], [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
+    for _, m_a, m_b, d in pair_distances(dataset, pairs, conditioning, target, distance_kind):
+        n_a, n_b = m_a.sum(axis=1), m_b.sum(axis=1)
+        ok = (n_a > 0) & (n_b > 0)
+        magnitude = np.full(len(ok), np.nan)
+        if not conditioning and ok.any():  # else d may have no column: nothing was counted
+            magnitude[ok] = d[ok, 0]
+        for i in np.flatnonzero(ok) if conditioning else ():
+            seen = np.flatnonzero(m_a[i] + m_b[i])
+            na, nb = int(n_a[i]), int(n_b[i])
+            magnitude[i] = min(1.0, float((m_a[i, seen] * nb + m_b[i, seen] * na)
+                                          @ d[i, seen]) / (2 * na * nb))
+        magnitudes.append(magnitude)
+        sizes_a.append(n_a)
+        sizes_b.append(n_b)
+    return DriftColumn(kind, distance_kind, subset, np.concatenate(magnitudes),
+                       np.concatenate(sizes_a), np.concatenate(sizes_b))
+
+
+def _one_pair(kind, dataset, window_a, window_b, subset, distance_kind) -> DriftMeasurement:
+    pair = [(window_a.start, window_a.end, window_b.start, window_b.end)]
+    return _drift(kind, dataset, pair, subset, distance_kind).measurement(0, window_a, window_b)
 
 
 def marginal_drift(
@@ -260,7 +297,7 @@ def marginal_drift(
 ) -> DriftMeasurement:
     """Distance between the two windows' marginal estimates over ``subset``."""
     kind = next(k for k, role in MEASURE_ROLES.items() if role == subset.role)
-    return _drift(kind, dataset, [(window_a, window_b)], subset, distance_kind)[0]
+    return _one_pair(kind, dataset, window_a, window_b, subset, distance_kind)
 
 
 def conditioned_covariate_drift(
@@ -271,8 +308,8 @@ def conditioned_covariate_drift(
     distance_kind: str = TOTAL_VARIATION,
 ) -> DriftMeasurement:
     """Class-prevalence-weighted average of per-class covariate distances."""
-    return _drift(CONDITIONED_COVARIATE_DRIFT, dataset, [(window_a, window_b)], subset,
-                  distance_kind)[0]
+    return _one_pair(CONDITIONED_COVARIATE_DRIFT, dataset, window_a, window_b, subset,
+                     distance_kind)
 
 
 def posterior_drift(
@@ -283,7 +320,7 @@ def posterior_drift(
     distance_kind: str = TOTAL_VARIATION,
 ) -> DriftMeasurement:
     """Covariate-prevalence-weighted average of per-tuple class distances."""
-    return _drift(POSTERIOR_DRIFT, dataset, [(window_a, window_b)], subset, distance_kind)[0]
+    return _one_pair(POSTERIOR_DRIFT, dataset, window_a, window_b, subset, distance_kind)
 
 
 def compute_drift(
@@ -295,20 +332,25 @@ def compute_drift(
     distance_kind: str = TOTAL_VARIATION,
 ) -> DriftMeasurement:
     """The ``measure_kind`` drift over ``subset`` between the two windows."""
-    return drift_measurements(dataset, [(window_a, window_b)], measure_kind, subset,
-                              distance_kind)[0]
+    _check_kind(measure_kind, subset)
+    return _one_pair(measure_kind, dataset, window_a, window_b, subset, distance_kind)
 
 
 def drift_measurements(dataset: EncodedDataset, pairs, measure_kind: str,
                        subset: AttributeSubset,
-                       distance_kind: str = TOTAL_VARIATION) -> list[DriftMeasurement]:
-    """The ``measure_kind`` drift at every ``(window_a, window_b)`` of
-    ``pairs``, in order, from one ``pair_distances`` call; marginal kinds
-    must agree with the subset role."""
+                       distance_kind: str = TOTAL_VARIATION) -> DriftColumn:
+    """The ``measure_kind`` drift at every window pair of ``pairs`` (rows of
+    ``(a_start, a_end, b_start, b_end)`` ticks), in order, from one
+    ``pair_distances`` call, with ``compute_drift``'s checks."""
+    _check_kind(measure_kind, subset)
+    return _drift(measure_kind, dataset, pairs, subset, distance_kind)
+
+
+def _check_kind(measure_kind: str, subset: AttributeSubset) -> None:
+    """A known measure kind; a marginal one must agree with the subset role."""
     if measure_kind not in MEASURE_ROLES:
         raise MeasureError(f"unknown measure kind {measure_kind!r}")
     if (measure_kind not in (CONDITIONED_COVARIATE_DRIFT, POSTERIOR_DRIFT)
             and MEASURE_ROLES[measure_kind] != subset.role):
         raise MeasureError(f"measure kind {measure_kind!r} does not match subset role "
                            f"{subset.role!r}")
-    return _drift(measure_kind, dataset, pairs, subset, distance_kind)

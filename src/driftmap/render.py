@@ -121,7 +121,7 @@ def render_lineplot(series: DriftSeries, style: PlotStyle = PlotStyle()) -> str:
     """
     if len(series) == 0:
         raise ValueError("cannot render an empty series")
-    times = [p.time for p in series.points]
+    times = series.times.tolist()
     t_lo, t_hi = times[0], times[-1]
     t_range = max(1, t_hi - t_lo)
 

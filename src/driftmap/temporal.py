@@ -10,18 +10,23 @@ span against the span ending at t, i.e. [t - 2*span, t - span) against
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .discretize import EncodedDataset
 from .estimate import AttributeSubset, TimeInterval
 from .measures import (
     MEASUREMENT_FIELDS,
+    STATUS_INSUFFICIENT,
     STATUS_OK,
     TOTAL_VARIATION,
+    DriftColumn,
     DriftMeasurement,
     drift_measurements,
-    rows_to_csv,
 )
 from .measures import compute_drift  # noqa: F401 - a call point perfbench/spans.py wraps
 
@@ -80,10 +85,15 @@ class SweepSpec:
         """Ticks from the evaluation time back to the windows' shared edge."""
         return 0 if self.alignment == ADJACENT else self.span
 
+    def pair_ticks(self, times) -> np.ndarray:
+        """The window pair at each of ``times`` as ``(a_start, a_end, b_start,
+        b_end)`` ticks, one row per time."""
+        boundary = np.asarray(times, dtype=np.int64) - self.offset
+        return np.stack([boundary - self.span, boundary, boundary, boundary + self.span], axis=-1)
+
     def windows_at(self, t: int) -> tuple[TimeInterval, TimeInterval]:
-        boundary = t - self.offset
-        return (TimeInterval(boundary - self.span, boundary),
-                TimeInterval(boundary, boundary + self.span))
+        a_start, a_end, b_start, b_end = self.pair_ticks(t).tolist()
+        return TimeInterval(a_start, a_end), TimeInterval(b_start, b_end)
 
 
 @dataclass(frozen=True)
@@ -92,35 +102,108 @@ class SeriesPoint:
     results: dict[str, DriftMeasurement] = field(repr=False)
 
 
+def _csv_cell(text: str) -> str:
+    """``text`` as ``csv`` writes it in a row of more than one field."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerow((text, ""))
+    return out.getvalue()[:-2]
+
+
+# a JSON point: the fields in sorted order, indented as json.dumps(indent=2)
+# indents a dict in a list under a top-level key
+_JSON_POINT = "    {\n%s\n    }" % ",\n".join(
+    f"      {json.dumps(name)}: %s" for name in sorted(SERIES_FIELDS))
+_CSV_ROW = ",".join(["%s"] * len(SERIES_FIELDS)) + "\n"
+
+
 @dataclass(frozen=True)
 class DriftSeries:
+    """A sweep, stored by column: the evaluation ``times`` (int64) and, per
+    measure key in ``spec.measures`` order, the measure's ``DriftColumn`` at
+    those times. ``points``, ``to_rows`` and ``magnitudes`` are views built
+    on demand; the statistics, the writers and the line plot read the
+    columns."""
+
     spec: SweepSpec
-    points: tuple[SeriesPoint, ...]
+    times: np.ndarray = field(repr=False)
+    columns: dict[str, DriftColumn] = field(repr=False)
     status: str = STATUS_OK
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.times)
+
+    @property
+    def points(self) -> tuple[SeriesPoint, ...]:
+        """One ``SeriesPoint`` per time, holding each measure's ``DriftMeasurement``."""
+        return tuple(
+            SeriesPoint(time=t, results={m.key: self.columns[m.key].measurement(i, *windows)
+                                         for m in self.spec.measures})
+            for i, t in enumerate(self.times.tolist())
+            for windows in [self.spec.windows_at(t)])
 
     def magnitudes(self, key: str) -> list[float | None]:
-        return [p.results[key].magnitude for p in self.points]
+        column = self.columns[key]
+        values = column.magnitude.tolist()
+        for i in np.flatnonzero(~column.ok):
+            values[i] = None
+        return values
 
     def to_rows(self) -> list[dict]:
         """Long-format rows: one per (evaluation time, measure)."""
         rows = []
         for point in self.points:
-            for spec in self.spec.measures:
-                m = point.results[spec.key]
+            for m in point.results.values():
                 row = m.to_row()
                 row["time"] = point.time
                 rows.append(row)
         return rows
 
-    def to_csv(self) -> str:
-        return rows_to_csv(self.to_rows(), SERIES_FIELDS)
+    def _cells(self, quote, null: str) -> dict[str, list[str]]:
+        """The text of every cell of ``to_rows``, one list per field, in row
+        order; each column is formatted at once: ``quote`` writes a string,
+        ``null`` a missing magnitude."""
+        columns = [self.columns[m.key] for m in self.spec.measures]
+        stacked = {name: np.stack([getattr(c, name) for c in columns], axis=1).ravel()
+                   for name in ("magnitude", "n_a", "n_b")}
+        times = np.repeat(self.times, len(columns))
+        ints = (times, *self.spec.pair_ticks(times).T, stacked["n_a"], stacked["n_b"])
+        time, a_start, a_end, b_start, b_end, n_a, n_b = (
+            list(map(int.__repr__, values.tolist())) for values in ints)
+        magnitude = list(map(float.__repr__, stacked["magnitude"].tolist()))
+        insufficient = np.isnan(stacked["magnitude"])
+        for i in np.flatnonzero(insufficient):
+            magnitude[i] = null
+        ok, bad = quote(STATUS_OK), quote(STATUS_INSUFFICIENT)
+        status = [bad if gap else ok for gap in insufficient.tolist()]
 
-    def to_json(self) -> str:
-        return json.dumps({"status": self.status, "points": self.to_rows()},
+        def constant(text_of):  # a string per measure, repeated at every time
+            return [quote(text_of(c)) for c in columns] * len(self.times)
+
+        return {"time": time, "measure_kind": constant(lambda c: c.measure_kind),
+                "distance_kind": constant(lambda c: c.distance_kind),
+                "subset": constant(lambda c: "|".join(c.subset.names)),
+                "window_a_start": a_start, "window_a_end": a_end,
+                "window_b_start": b_start, "window_b_end": b_end,
+                "magnitude": magnitude, "sample_size_a": n_a, "sample_size_b": n_b,
+                "status": status}
+
+    def to_csv(self) -> str:
+        """What ``rows_to_csv(self.to_rows(), SERIES_FIELDS)`` writes."""
+        header = ",".join(map(_csv_cell, SERIES_FIELDS)) + "\n"
+        cells = self._cells(_csv_cell, "")
+        return header + "".join(map(_CSV_ROW.__mod__, zip(*map(cells.get, SERIES_FIELDS))))
+
+    def to_json(self, extra: dict | None = None) -> str:
+        """``json.dumps(doc, indent=2, sort_keys=True)`` of the document with
+        the series' status and ``to_rows`` as its points, plus the top-level
+        keys of ``extra``."""
+        text = json.dumps({**(extra or {}), "status": self.status, "points": []},
                           indent=2, sort_keys=True)
+        cells = self._cells(json.dumps, "null")
+        rows = zip(*map(cells.get, sorted(SERIES_FIELDS)))
+        points = "[\n" + ",\n".join(map(_JSON_POINT.__mod__, rows)) + "\n  ]" if len(self) else "[]"
+        # a newline and two spaces start a top-level key and nothing else
+        return text.replace('\n  "points": []', '\n  "points": ' + points, 1)
 
 
 def drift_series(dataset: EncodedDataset, spec: SweepSpec) -> DriftSeries:
@@ -134,45 +217,40 @@ def drift_series(dataset: EncodedDataset, spec: SweepSpec) -> DriftSeries:
     what ``compute_drift`` returns for its pair.
     """
     if len(dataset) == 0:
-        return DriftSeries(spec=spec, points=(), status="empty dataset")
-    t_min = int(dataset.timestamps[0])
-    t_max = int(dataset.timestamps[-1])
-    # the first window starts at t_min; the second ends just past t_max
-    first = t_min + spec.span + spec.offset
-    last = t_max + 1 - spec.span + spec.offset
-    if first > last:
-        return DriftSeries(spec=spec, points=(),
-                           status="dataset shorter than one window pair")
-
-    times = range(first, last + 1, spec.compute_step)
-    pairs = [spec.windows_at(t) for t in times]
-    columns = [(m.key, drift_measurements(dataset, pairs, m.measure_kind, m.subset,
-                                          m.distance_kind)) for m in spec.measures]
-    return DriftSeries(spec=spec, points=tuple(
-        SeriesPoint(time=t, results={key: column[i] for key, column in columns})
-        for i, t in enumerate(times)))
+        status, times = "empty dataset", np.zeros(0, dtype=np.int64)
+    else:
+        # the first window starts at the first tick; the second ends just past the last
+        first = int(dataset.timestamps[0]) + spec.span + spec.offset
+        last = int(dataset.timestamps[-1]) + 1 - spec.span + spec.offset
+        times = np.arange(first, last + 1, spec.compute_step, dtype=np.int64)
+        status = STATUS_OK if len(times) else "dataset shorter than one window pair"
+    pairs = spec.pair_ticks(times)
+    return DriftSeries(spec=spec, times=times, status=status, columns={
+        m.key: drift_measurements(dataset, pairs, m.measure_kind, m.subset, m.distance_kind)
+        for m in spec.measures})
 
 
 def series_statistics(series: DriftSeries) -> dict[str, dict]:
     """Per measure: min, max, mean and argmax time over usable points.
 
-    Ties on the maximum break toward the earliest evaluation time.
+    Ties on the maximum break toward the earliest evaluation time. The mean
+    is Python's ``sum`` over the usable magnitudes in time order.
     """
     summary: dict[str, dict] = {}
     for mspec in series.spec.measures:
-        values = [(p.time, p.results[mspec.key].magnitude)
-                  for p in series.points if p.results[mspec.key].ok]
-        if not values:
+        column = series.columns[mspec.key]
+        ok = column.ok
+        magnitudes = column.magnitude[ok].tolist()
+        if not magnitudes:
             summary[mspec.key] = {"status": "no usable points"}
             continue
-        magnitudes = [v for _, v in values]
-        best_time, best = max(values, key=lambda tv: tv[1])  # the first, earliest maximum
+        best = max(magnitudes)
         summary[mspec.key] = {
             "status": STATUS_OK,
             "min": min(magnitudes),
             "max": best,
             "mean": sum(magnitudes) / len(magnitudes),
-            "argmax_time": best_time,
+            "argmax_time": series.times[ok].tolist()[magnitudes.index(best)],  # the earliest
             "count": len(magnitudes),
         }
     return summary

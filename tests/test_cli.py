@@ -424,7 +424,13 @@ def test_bad_span_or_window_fails_nonzero(workspace, capsys, command, message):
     (["map", "--kind", "pairwise-joint", "--window-a", "0:10", "--window-b", "10:20",
       "--subset", "a,,b"], "",
      "--subset needs a comma list of attribute names, got 'a,,b'"),
-], ids=["measure", "map", "series-span", "series-measure", "alignment", "distance", "subset"])
+    (["measure", "--window-a", "0:10", "--window-b", "10:20", "--measure", "covariate:zz"], "",
+     "unknown attributes in subset: ['zz']"),
+    (["series", "--measure", "covariate:x1,zz"], "", "unknown attributes in subset: ['zz']"),
+    (["map", "--kind", "conditioned-univariate", "--window-a", "0:10", "--window-b", "10:20",
+      "--subset", "zz"], "", "unknown attributes in subset: ['zz']"),
+], ids=["measure", "map", "series-span", "series-measure", "alignment", "distance", "subset",
+        "measure-unknown-attribute", "series-unknown-attribute", "map-unknown-subset"])
 def test_bad_window_fails_before_the_data_is_read(workspace, capsys, monkeypatch, command,
                                                   analysis, message):
     (workspace / "config.yaml").write_text(CONFIG + analysis)

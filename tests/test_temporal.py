@@ -170,25 +170,22 @@ def test_series_statistics():
     key = spec.measures[0].key
 
     # patch in a hand-built series to pin the argmax/tie rules
-    from driftmap.temporal import SeriesPoint
-    from driftmap.measures import DriftMeasurement, STATUS_OK
+    from driftmap.measures import DriftColumn
 
-    def pt(t, v):
-        m = DriftMeasurement(
-            measure_kind="covariate", distance_kind="total_variation",
-            subset=spec.measures[0].subset,
-            window_a=TimeInterval(t - 2, t), window_b=TimeInterval(t, t + 2),
-            magnitude=v, sample_sizes=(2, 2), status=STATUS_OK)
-        return SeriesPoint(time=t, results={key: m})
+    def series_of(*time_values):
+        times, values = zip(*time_values)
+        sizes = np.full(len(values), 2)
+        column = DriftColumn("covariate", "total_variation", spec.measures[0].subset,
+                             np.array(values, dtype=float), sizes, sizes)
+        return DriftSeries(spec=spec, times=np.array(times), columns={key: column})
 
-    handmade = DriftSeries(spec=spec, points=(
-        pt(2, 0.0), pt(3, 0.0), pt(4, 0.8), pt(5, 0.2)))
+    handmade = series_of((2, 0.0), (3, 0.0), (4, 0.8), (5, 0.2))
     stats = series_statistics(handmade)[key]
     assert stats["max"] == 0.8
     assert stats["argmax_time"] == 4
     assert stats["mean"] == pytest.approx(0.25)
 
-    all_zero = DriftSeries(spec=spec, points=(pt(2, 0.0), pt(3, 0.0)))
+    all_zero = series_of((2, 0.0), (3, 0.0))
     stats0 = series_statistics(all_zero)[key]
     assert stats0["max"] == 0.0
     assert stats0["argmax_time"] == 2  # earliest on ties
