@@ -11,9 +11,7 @@ files.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
-import io
 import json
 import sys
 from dataclasses import dataclass
@@ -35,7 +33,8 @@ from .measures import (
     MEASURE_ROLES,
     MEASUREMENT_FIELDS,
     compute_drift,
-    rows_to_csv,
+    table_csv,
+    table_json,
 )
 from .render import PlotStyle, render_heatmap, render_lineplot
 from .schema import AttributeSchema, check_keys, ingest_records, parse_schema
@@ -261,19 +260,12 @@ def _distance(args, analysis: dict) -> str:
     return configured
 
 
-def _encoded_csv(encoded: EncodedDataset) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(("timestamp",) + encoded.attribute_names)
-    writer.writerows(zip(encoded.timestamps.tolist(), *encoded.codes.T.tolist()))
-    return out.getvalue()
-
-
 def cmd_encode(args) -> dict:
     encoded, seed = _load_data(args, _load_config(args))
     key = _provenance_hash({"cmd": "encode", "seed": seed})
     return {
-        f"encoded_{key}.csv": partial(_encoded_csv, encoded),
+        f"encoded_{key}.csv": partial(table_csv, ("timestamp",) + encoded.attribute_names,
+                                      [encoded.timestamps, *encoded.codes.T]),
         f"discretizer_{key}.json": encoded.discretizer.to_json() + "\n",
         f"provenance_{key}.json": _json(_provenance_doc(args, seed, {
             "command": "encode",
@@ -301,15 +293,15 @@ def cmd_measure(args) -> dict:
         "measures": sorted(measure_args),
     })
     rows = [m.to_row() for m in results]
+    columns = [[row[name] for row in rows] for name in MEASUREMENT_FIELDS]
     return {
-        f"measure_{key}.csv": rows_to_csv(rows, MEASUREMENT_FIELDS),
-        f"measure_{key}.json": _json({
+        f"measure_{key}.csv": table_csv(MEASUREMENT_FIELDS, columns),
+        f"measure_{key}.json": table_json({
             "provenance": _provenance_doc(args, seed, {
                 "command": "measure", "distance": distance,
                 "one_sided_conditionals": "inner distance fixed at 1.0",
             }),
-            "measurements": rows,
-        }),
+        }, "measurements", MEASUREMENT_FIELDS, columns) + "\n",
     }
 
 
@@ -348,6 +340,12 @@ def cmd_series(args) -> dict:
     return artifacts
 
 
+def _file_label(label: str) -> str:
+    """``label`` as part of one file name: ``%``, ``/`` and NUL are written
+    ``%25``, ``%2F`` and ``%00``, so that two labels never share a name."""
+    return "".join(f"%{ord(c):02X}" if c in "%/\0" else c for c in label)
+
+
 def cmd_map(args) -> dict:
     if args.classes_on_map and args.kind != "pairwise-joint":
         raise CliError(f"--classes-on-map applies only to --kind pairwise-joint, "
@@ -372,14 +370,12 @@ def cmd_map(args) -> dict:
     })
     artifacts = {}
     for grid in grids if isinstance(grids, list) else [grids]:
-        suffix = f"_{grid.class_label}" if grid.class_label else ""
+        suffix = f"_{_file_label(grid.class_label)}" if grid.class_label else ""
         stem = f"map_{args.kind}_{key}{suffix}"
-        doc = json.loads(grid.to_json())
-        doc["provenance"] = _provenance_doc(args, seed, {
-            "command": "map", "kind": args.kind, "distance": distance,
-        })
         artifacts[stem + ".csv"] = grid.to_csv()
-        artifacts[stem + ".json"] = _json(doc)
+        artifacts[stem + ".json"] = grid.to_json({"provenance": _provenance_doc(args, seed, {
+            "command": "map", "kind": args.kind, "distance": distance,
+        })}) + "\n"
         artifacts[stem + ".svg"] = partial(render_heatmap, grid)
     return artifacts
 

@@ -73,19 +73,50 @@ class Discretizer:
     def from_json(cls, text: str, schema: AttributeSchema) -> "Discretizer":
         """A sidecar written by :meth:`to_json`, checked against ``schema``."""
         doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise DiscretizationError("discretizer sidecar must be a JSON object")
         for section in ("bin_count", "cut_points", "label_codes"):
             if section not in doc:
                 raise DiscretizationError(f"discretizer sidecar lacks the {section!r} section")
-        cut_points = {k: tuple(v) for k, v in doc["cut_points"].items()}
-        label_codes = {k: {lbl: int(c) for lbl, c in d.items()}
-                       for k, d in doc["label_codes"].items()}
+        try:
+            bin_count = int(doc["bin_count"])
+        except (TypeError, ValueError):
+            raise DiscretizationError(f"discretizer sidecar bin_count must be an integer, "
+                                      f"got {doc['bin_count']!r}") from None
+        cut_points = _sidecar_section(doc, "cut_points", "a list of numbers", _cut_list)
+        label_codes = _sidecar_section(doc, "label_codes", "an object of integer codes",
+                                       lambda d: {lbl: int(c) for lbl, c in d.items()})
         _check_sidecar(schema, cut_points, label_codes)
         return cls(
             schema=schema,
-            bin_count=int(doc["bin_count"]),
+            bin_count=bin_count,
             cut_points=cut_points,
             label_codes=label_codes,
         )
+
+
+def _cut_list(value) -> tuple:
+    """Cut points as the sidecar lists them, which must be a flat list of numbers."""
+    if not isinstance(value, list) or np.asarray(value, dtype=float).ndim != 1:
+        raise TypeError(value)
+    return tuple(value)
+
+
+def _sidecar_section(doc: dict, section: str, shape: str, read) -> dict:
+    """``{attribute: read(entry)}`` for the sidecar's ``section``; an entry
+    that ``read`` cannot take fails naming the section and the attribute."""
+    table = doc[section]
+    if not isinstance(table, dict):
+        raise DiscretizationError(f"discretizer sidecar {section} must be an object of "
+                                  f"attributes, got {table!r}")
+    entries = {}
+    for name, entry in table.items():
+        try:
+            entries[name] = read(entry)
+        except (AttributeError, TypeError, ValueError):
+            raise DiscretizationError(f"discretizer sidecar {section} of attribute {name!r} "
+                                      f"must be {shape}, got {entry!r}") from None
+    return entries
 
 
 def _check_sidecar(schema: AttributeSchema, cut_points: dict, label_codes: dict) -> None:

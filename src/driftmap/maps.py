@@ -10,7 +10,6 @@ bound: an off-diagonal cell is never below either of its diagonal cells
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 from .discretize import EncodedDataset
@@ -24,7 +23,8 @@ from .measures import (
     marginal_drift,
     pair_distances,
     posterior_drift,
-    rows_to_csv,
+    table_csv,
+    table_json,
 )
 
 PAIRWISE_JOINT = "pairwise_joint"
@@ -33,6 +33,9 @@ CONDITIONED_PAIRWISE = "conditioned_pairwise"
 POSTERIOR_PAIRWISE = "posterior_pairwise"
 
 MONOTONICITY_TOL = 1e-9
+
+# the columns of HeatMapGrid.to_rows, in order
+MAP_FIELDS = ("row", "column", "class", "magnitude", "status")
 
 
 class GridError(ValueError):
@@ -85,31 +88,31 @@ class HeatMapGrid:
                         )
 
     def to_rows(self) -> list[dict]:
-        rows = []
-        for i, r in enumerate(self.row_labels):
-            for j, c in enumerate(self.col_labels):
-                v = self.values[i][j]
-                rows.append({
-                    "row": r,
-                    "column": c,
-                    "class": self.class_label or "",
-                    "magnitude": v,
-                    "status": STATUS_OK if v is not None else STATUS_INSUFFICIENT,
-                })
-        return rows
+        """One row per cell, row by row, keyed in ``MAP_FIELDS`` order."""
+        return [dict(zip(MAP_FIELDS, (r, c, self.class_label or "", v,
+                                      STATUS_OK if v is not None else STATUS_INSUFFICIENT)))
+                for r, values in zip(self.row_labels, self.values)
+                for c, v in zip(self.col_labels, values)]
+
+    def _table(self) -> list:
+        """The columns of ``to_rows``, in ``MAP_FIELDS`` order."""
+        rows = self.to_rows()
+        return [[row[name] for row in rows] for name in MAP_FIELDS]
 
     def to_csv(self) -> str:
-        return rows_to_csv(self.to_rows(), ("row", "column", "class", "magnitude", "status"))
+        return table_csv(MAP_FIELDS, self._table())
 
-    def to_json(self) -> str:
-        return json.dumps({
+    def to_json(self, extra: dict | None = None) -> str:
+        """The grid as a JSON document, its cells the rows of ``to_rows``,
+        plus the top-level keys of ``extra``."""
+        return table_json({
+            **(extra or {}),
             "map_kind": self.map_kind,
             "distance_kind": self.distance_kind,
             "class": self.class_label,
             "window_a": [self.window_a.start, self.window_a.end],
             "window_b": [self.window_b.start, self.window_b.end],
-            "cells": self.to_rows(),
-        }, indent=2, sort_keys=True)
+        }, "cells", MAP_FIELDS, self._table())
 
 
 def map_attributes(schema, attributes, map_kind, include_class=False) -> tuple[str, ...]:

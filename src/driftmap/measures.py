@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 import math
 from dataclasses import dataclass, field
 
@@ -94,14 +95,55 @@ class DriftMeasurement:
         )))
 
 
-def rows_to_csv(rows, fields) -> str:
-    """CSV text of dict rows in ``fields`` order. ``csv`` writes a float as its
-    repr, so a magnitude reads back as the same float; None is an empty cell."""
+def _csv_cell(value) -> str:
+    """``value`` as ``csv`` writes it in a row of more than one field."""
     out = io.StringIO()
-    writer = csv.DictWriter(out, fieldnames=fields, lineterminator="\n")
-    writer.writeheader()
-    writer.writerows(rows)
-    return out.getvalue()
+    csv.writer(out, lineterminator="\n").writerow((value, ""))
+    return out.getvalue()[:-2]
+
+
+def _column(values, cell, null: str) -> tuple[str, list]:
+    """One column's ``%`` slot and the values that fill it, formatted at once:
+    an int array fills ``%d`` with its ints, a float array is written as its
+    ``repr`` with NaN as ``null``, and any other value by ``cell``, once per
+    distinct string (``0.0 == -0.0`` and ``1 == 1.0``, so only strings are shared)."""
+    kind = values.dtype.kind if isinstance(values, np.ndarray) else None
+    if kind in ("i", "u"):
+        return "%d", values.tolist()
+    if kind == "f":
+        texts = list(map(float.__repr__, values.tolist()))
+        for i in np.flatnonzero(np.isnan(values)):
+            texts[i] = null
+        return "%s", texts
+    values = values.tolist() if kind else list(values)
+    strings = {v: cell(v) for v in set(values) if isinstance(v, str)}
+    return "%s", [strings[v] if isinstance(v, str) else cell(v) for v in values]
+
+
+def table_csv(fields, columns) -> str:
+    """What ``csv.writer`` writes for the header ``fields`` (two or more) and
+    one row per entry of ``columns``, the table's columns in ``fields`` order:
+    an array or a sequence of values each, all of one length, None an empty cell."""
+    slots, cells = zip(*(_column(c, _csv_cell, "") for c in columns))
+    row = ",".join(slots) + "\n"
+    return "".join([",".join(map(_csv_cell, fields)) + "\n", *map(row.__mod__, zip(*cells))])
+
+
+def table_json(doc: dict, key: str, fields, columns) -> str:
+    """``json.dumps(indent=2, sort_keys=True)`` of ``doc`` with ``key`` set to
+    the table's rows, one object per row, keyed by ``fields`` (``columns`` as
+    for :func:`table_csv`, None written as null)."""
+    text = json.dumps({**doc, key: []}, indent=2, sort_keys=True)
+    order = sorted(range(len(fields)), key=fields.__getitem__)
+    slots, cells = zip(*(_column(columns[i], json.dumps, "null") for i in order))
+    # a row as json.dumps(indent=2, sort_keys=True) writes an object in a top-level key's list
+    row = "    {\n%s\n    }" % ",\n".join(
+        f"      {json.dumps(fields[i]).replace('%', '%%')}: {slot}"
+        for i, slot in zip(order, slots))
+    # the rows' text is kept only inside ``table``: two copies at the splice, not three
+    table = "[\n" + ",\n".join(map(row.__mod__, zip(*cells))) + "\n  ]" if len(cells[0]) else "[]"
+    # a newline and two spaces start a top-level key and nothing else
+    return text.replace(f"\n  {json.dumps(key)}: []", f"\n  {json.dumps(key)}: {table}", 1)
 
 
 def _grouped_tvd(a, b, ra, rb, starts) -> np.ndarray:

@@ -220,9 +220,14 @@ def parse_schema(config_document) -> AttributeSchema:
     except KeyError as exc:
         raise SchemaError(f"schema config missing required key: {exc}") from exc
 
+    if not isinstance(raw_attrs, list):
+        raise SchemaError(f"attributes must be a list of attribute entries, got {raw_attrs!r}")
     attributes = []
-    for entry in raw_attrs:
-        domain = check_keys(entry, ATTRIBUTE_KEYS, "an attribute entry").get("domain")
+    for number, entry in enumerate(raw_attrs, 1):
+        entry = check_keys(entry, ATTRIBUTE_KEYS, "an attribute entry")
+        if "name" not in entry:
+            raise SchemaError(f"attribute entry {number} has no name: {entry!r}")
+        domain = entry.get("domain")
         attributes.append(
             Attribute(
                 name=str(entry["name"]),
@@ -389,7 +394,7 @@ def _rows_from_arff(text: str) -> tuple[list[str], list[list[str]]]:
     header: list[str] = []
     data_rows: list[list[str]] = []
     in_data = False
-    for line in text.splitlines():
+    for number, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("%"):
             continue
@@ -400,10 +405,15 @@ def _rows_from_arff(text: str) -> tuple[list[str], list[list[str]]]:
             data_rows.append(next(csv.reader([line])))
         elif lowered.startswith("@attribute"):
             # "@attribute name type" with the name possibly quoted
-            rest = line.split(None, 1)[1].strip()
+            parts = line.split(None, 1)
+            if len(parts) < 2:
+                raise IngestError(f"line {number}: @attribute without a name")
+            rest = parts[1].strip()
             if rest[0] in "'\"":
-                quote = rest[0]
-                end = rest.index(quote, 1)
+                end = rest.find(rest[0], 1)
+                if end < 0:
+                    raise IngestError(f"line {number}: attribute name {rest!r} lacks its "
+                                      f"closing quote")
                 header.append(rest[1:end])
             else:
                 header.append(rest.split(None, 1)[0])

@@ -10,9 +10,6 @@ span against the span ending at t, i.e. [t - 2*span, t - span) against
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,6 +24,8 @@ from .measures import (
     DriftColumn,
     DriftMeasurement,
     drift_measurements,
+    table_csv,
+    table_json,
 )
 from .measures import compute_drift  # noqa: F401 - a call point perfbench/spans.py wraps
 
@@ -102,20 +101,6 @@ class SeriesPoint:
     results: dict[str, DriftMeasurement] = field(repr=False)
 
 
-def _csv_cell(text: str) -> str:
-    """``text`` as ``csv`` writes it in a row of more than one field."""
-    out = io.StringIO()
-    csv.writer(out, lineterminator="\n").writerow((text, ""))
-    return out.getvalue()[:-2]
-
-
-# a JSON point: the fields in sorted order, indented as json.dumps(indent=2)
-# indents a dict in a list under a top-level key
-_JSON_POINT = "    {\n%s\n    }" % ",\n".join(
-    f"      {json.dumps(name)}: %s" for name in sorted(SERIES_FIELDS))
-_CSV_ROW = ",".join(["%s"] * len(SERIES_FIELDS)) + "\n"
-
-
 @dataclass(frozen=True)
 class DriftSeries:
     """A sweep, stored by column: the evaluation ``times`` (int64) and, per
@@ -158,52 +143,31 @@ class DriftSeries:
                 rows.append(row)
         return rows
 
-    def _cells(self, quote, null: str) -> dict[str, list[str]]:
-        """The text of every cell of ``to_rows``, one list per field, in row
-        order; each column is formatted at once: ``quote`` writes a string,
-        ``null`` a missing magnitude."""
+    def _table(self) -> list:
+        """The columns of ``to_rows``, in ``SERIES_FIELDS`` order."""
         columns = [self.columns[m.key] for m in self.spec.measures]
-        stacked = {name: np.stack([getattr(c, name) for c in columns], axis=1).ravel()
-                   for name in ("magnitude", "n_a", "n_b")}
+        magnitude, n_a, n_b = (np.stack([getattr(c, name) for c in columns], axis=1).ravel()
+                               for name in ("magnitude", "n_a", "n_b"))
         times = np.repeat(self.times, len(columns))
-        ints = (times, *self.spec.pair_ticks(times).T, stacked["n_a"], stacked["n_b"])
-        time, a_start, a_end, b_start, b_end, n_a, n_b = (
-            list(map(int.__repr__, values.tolist())) for values in ints)
-        magnitude = list(map(float.__repr__, stacked["magnitude"].tolist()))
-        insufficient = np.isnan(stacked["magnitude"])
-        for i in np.flatnonzero(insufficient):
-            magnitude[i] = null
-        ok, bad = quote(STATUS_OK), quote(STATUS_INSUFFICIENT)
-        status = [bad if gap else ok for gap in insufficient.tolist()]
 
         def constant(text_of):  # a string per measure, repeated at every time
-            return [quote(text_of(c)) for c in columns] * len(self.times)
+            return [text_of(c) for c in columns] * len(self.times)
 
-        return {"time": time, "measure_kind": constant(lambda c: c.measure_kind),
-                "distance_kind": constant(lambda c: c.distance_kind),
-                "subset": constant(lambda c: "|".join(c.subset.names)),
-                "window_a_start": a_start, "window_a_end": a_end,
-                "window_b_start": b_start, "window_b_end": b_end,
-                "magnitude": magnitude, "sample_size_a": n_a, "sample_size_b": n_b,
-                "status": status}
+        return [times, constant(lambda c: c.measure_kind), constant(lambda c: c.distance_kind),
+                constant(lambda c: "|".join(c.subset.names)), *self.spec.pair_ticks(times).T,
+                magnitude, n_a, n_b,
+                np.where(np.isnan(magnitude), STATUS_INSUFFICIENT, STATUS_OK)]
 
     def to_csv(self) -> str:
-        """What ``rows_to_csv(self.to_rows(), SERIES_FIELDS)`` writes."""
-        header = ",".join(map(_csv_cell, SERIES_FIELDS)) + "\n"
-        cells = self._cells(_csv_cell, "")
-        return header + "".join(map(_CSV_ROW.__mod__, zip(*map(cells.get, SERIES_FIELDS))))
+        """What ``csv.DictWriter`` writes for ``to_rows`` under ``SERIES_FIELDS``."""
+        return table_csv(SERIES_FIELDS, self._table())
 
     def to_json(self, extra: dict | None = None) -> str:
         """``json.dumps(doc, indent=2, sort_keys=True)`` of the document with
         the series' status and ``to_rows`` as its points, plus the top-level
         keys of ``extra``."""
-        text = json.dumps({**(extra or {}), "status": self.status, "points": []},
-                          indent=2, sort_keys=True)
-        cells = self._cells(json.dumps, "null")
-        rows = zip(*map(cells.get, sorted(SERIES_FIELDS)))
-        points = "[\n" + ",\n".join(map(_JSON_POINT.__mod__, rows)) + "\n  ]" if len(self) else "[]"
-        # a newline and two spaces start a top-level key and nothing else
-        return text.replace('\n  "points": []', '\n  "points": ' + points, 1)
+        return table_json({**(extra or {}), "status": self.status}, "points", SERIES_FIELDS,
+                          self._table())
 
 
 def drift_series(dataset: EncodedDataset, spec: SweepSpec) -> DriftSeries:

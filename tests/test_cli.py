@@ -601,3 +601,19 @@ def test_format_arff_overrides_the_file_extension(workspace, capsys):
         outputs.append(Path(capsys.readouterr().out.strip()).read_text())
     assert outputs[0] == outputs[1]
     assert outputs[0].count("\n") == 6  # header + the five measures
+
+
+def test_class_labels_become_one_file_name_part_each(workspace, capsys):
+    # "a/b" once failed as a path into a missing directory, and "a%2Fb" must
+    # not take the name its escape gives
+    text = (workspace / "data.csv").read_text().replace(",pos\n", ",a/b\n", 50)
+    (workspace / "data.csv").write_text(text.replace(",neg\n", ",a%2Fb\n", 50))
+    rc = run_cli(["map", *base_args(workspace), "--kind", "conditioned-pairwise",
+                  "--window-a", "0:200", "--window-b", "200:400", "--format-out", "csv"])
+    assert rc == 0, capsys.readouterr().err
+    files = [Path(p) for p in capsys.readouterr().out.splitlines()]
+    assert all(p.parent == workspace / "out" for p in files)
+    suffixes = sorted(p.stem.rsplit("_", 1)[1] for p in files)
+    assert suffixes == ["a%252Fb", "a%2Fb", "neg", "pos"]
+    classes = {p.stem.rsplit("_", 1)[1]: _csv_rows(p)[0]["class"] for p in files}
+    assert classes == {"a%252Fb": "a%2Fb", "a%2Fb": "a/b", "neg": "neg", "pos": "pos"}

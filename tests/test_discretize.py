@@ -143,14 +143,33 @@ def test_sidecar_round_trip(rng):
     (lambda doc: doc.pop("cut_points"), "sidecar lacks the 'cut_points' section"),
     (lambda doc: doc.pop("label_codes"), "sidecar lacks the 'label_codes' section"),
     (lambda doc: doc.pop("bin_count"), "sidecar lacks the 'bin_count' section"),
+    (lambda doc: doc["cut_points"].update(x=0.5),
+     "^discretizer sidecar cut_points of attribute 'x' must be a list of numbers, got 0.5$"),
+    (lambda doc: doc["cut_points"].update(x=["q"]),
+     "cut_points of attribute 'x' must be a list of numbers, got \\['q'\\]$"),
+    (lambda doc: doc["cut_points"].update(x=[[0.5]]), "cut_points of attribute 'x' must be"),
+    (lambda doc: doc.update(cut_points=[0.5]), "cut_points must be an object of attributes"),
+    (lambda doc: doc["label_codes"].update(y=["a"]),
+     "label_codes of attribute 'y' must be an object of integer codes, got \\['a'\\]$"),
+    (lambda doc: doc["label_codes"].update(y={"a": "zero"}), "label_codes of attribute 'y'"),
+    (lambda doc: doc.update(bin_count="x"), "^discretizer sidecar bin_count must be an "
+                                            "integer, got 'x'$"),
 ], ids=["missing-numeric", "missing-categorical", "extra", "decreasing", "repeated",
-        "infinite", "code-gap", "no-cut-points", "no-label-codes", "no-bin-count"])
+        "infinite", "code-gap", "no-cut-points", "no-label-codes", "no-bin-count",
+        "cut-points-a-number", "cut-point-text", "cut-points-nested", "cut-points-a-list",
+        "label-codes-a-list", "label-code-text", "bin-count-text"])
 def test_sidecar_checked_against_schema(edit, message):
     raw = make_raw([1.0, 2.0, 3.0, 4.0], ["a", "b", "a", "b"])
     doc = json.loads(fit_discretizer(raw, bin_count=3).to_json())
     edit(doc)
     with pytest.raises(DiscretizationError, match=message):
         Discretizer.from_json(json.dumps(doc), raw.schema)
+
+
+def test_sidecar_must_be_an_object():
+    raw = make_raw([1.0, 2.0, 3.0, 4.0], ["a", "b", "a", "b"])
+    with pytest.raises(DiscretizationError, match="sidecar must be a JSON object"):
+        Discretizer.from_json("5", raw.schema)
 
 
 def test_record_order_preserved(rng):

@@ -275,7 +275,12 @@ def test_integral_decimal_timestamp_is_accepted():
      "timestamp column 'ts' absent from data"),
     ("", "csv", {}, "empty CSV input"),
     ("x,y\n1.0,a\n", "json", {}, "unknown input format 'json'"),
-], ids=["absent-column", "absent-timestamp", "empty-csv", "format-json"])
+    ("@relation r\n@attribute\n@attribute y {a}\n@data\n", "arff", {},
+     "line 2: @attribute without a name"),
+    ("% comment\n\n@attribute 'x numeric\n@data\n", "arff", {},
+     "line 3: attribute name \"'x numeric\" lacks its closing quote"),
+], ids=["absent-column", "absent-timestamp", "empty-csv", "format-json",
+        "arff-attribute-without-name", "arff-unclosed-quote"])
 def test_ingest_fails_loudly(data, fmt, schema_extra, message):
     schema = parse_schema({
         "attributes": [
@@ -299,7 +304,14 @@ def test_ingest_fails_loudly(data, fmt, schema_extra, message):
     ({"class": "y"}, "schema config missing required key: 'attributes'"),
     ({"attributes": [{"name": "y", "kind": "categorical"}], "class": "y", "timestamp": 5},
      "timestamp must be a mapping"),
-], ids=["kind-text", "undeclared-class", "not-a-mapping", "no-attributes", "timestamp-5"])
+    ({"attributes": None, "class": "y"},
+     "attributes must be a list of attribute entries, got None"),
+    ({"attributes": [{"name": "y", "kind": "categorical"}, {"kind": "numeric"}], "class": "y"},
+     "attribute entry 2 has no name: {'kind': 'numeric'}"),
+    ("attributes:\n  - {name: y, kind: categorical}\n  -\nclass: y\n",
+     "attribute entry 2 has no name: {}"),
+], ids=["kind-text", "undeclared-class", "not-a-mapping", "no-attributes", "timestamp-5",
+        "attributes-null", "entry-without-name", "empty-entry"])
 def test_bad_config_fails_loudly(config, message):
     with pytest.raises(SchemaError) as info:
         parse_schema(config)

@@ -70,3 +70,17 @@ def test_labels_and_counts_each_have_one_path():
                 if home and not (path.name == home[0] and home[1] in (None, where)):
                     strays.append(f"{path.name}:{node.lineno}: {name}")
     assert strays == []
+
+
+def test_tables_have_one_writer():
+    """Every table artifact is written by ``measures.table_csv`` or
+    ``table_json``; a second row writer (``csv.DictWriter``, ``writerows``)
+    fails here."""
+    strays = []
+    for path in sorted((ROOT / "src" / "driftmap").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            name = node.name if isinstance(node, ast.alias) else (
+                getattr(node, "id", None) or getattr(node, "attr", None))
+            if name in ("DictWriter", "writerows"):
+                strays.append(f"{path.name}:{node.lineno}: {name}")
+    assert strays == []
