@@ -11,6 +11,7 @@ files.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import sys
@@ -169,20 +170,27 @@ def _write_artifacts(out_dir, formats: set[str], artifacts: dict) -> list[Path]:
     extension is in ``formats``. A content may be a callable that builds the
     text; it is called only for an artifact that is written. If a write
     fails, every file written so far (a partial one too) is removed, so no
-    partial outputs survive. The directory is created only when needed."""
-    out_dir, written = Path(out_dir), []
+    partial outputs survive. The directory is created only when a file is
+    written: if the first write fails, the directories it made are removed."""
+    out_dir, written, made = Path(out_dir), [], []
     try:
         for name, content in artifacts.items():
             if Path(name).suffix[1:] not in formats:
                 continue
             content = content() if callable(content) else content
-            out_dir.mkdir(parents=True, exist_ok=True)
+            if not written:  # the directories the first write makes, deepest first
+                made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
+                out_dir.mkdir(parents=True, exist_ok=True)
             written.append(out_dir / name)
             written[-1].write_text(content)
+            made = []  # a file was written, so the directories stay
     except BaseException:
         for path in written:
             if path.is_file():
                 path.unlink()
+        for directory in made:
+            with contextlib.suppress(OSError):
+                directory.rmdir()
         raise
     return written
 
@@ -340,10 +348,18 @@ def cmd_series(args) -> dict:
     return artifacts
 
 
-def _file_label(label: str) -> str:
-    """``label`` as part of one file name: ``%``, ``/`` and NUL are written
-    ``%25``, ``%2F`` and ``%00``, so that two labels never share a name."""
-    return "".join(f"%{ord(c):02X}" if c in "%/\0" else c for c in label)
+def _file_label(label: str, stem: str) -> str:
+    """``label`` as the end of one file name that starts with ``stem`` and
+    ends with an extension of up to five bytes: ``%``, ``/`` and NUL are
+    written ``%25``, ``%2F`` and ``%00``, and where the name would pass 255
+    bytes the label is cut and ends in ``%-`` and a digest of the whole
+    label. No escaped label holds ``%-``, so two labels never share a name."""
+    text = "".join(f"%{ord(c):02X}" if c in "%/\0" else c for c in label)
+    room = 255 - len(f"{stem}.json".encode())
+    if len(text.encode()) <= room:
+        return text
+    digest = "%-" + hashlib.sha256(label.encode()).hexdigest()[:16]
+    return text.encode()[:room - len(digest)].decode(errors="ignore") + digest
 
 
 def cmd_map(args) -> dict:
@@ -370,8 +386,9 @@ def cmd_map(args) -> dict:
     })
     artifacts = {}
     for grid in grids if isinstance(grids, list) else [grids]:
-        suffix = f"_{_file_label(grid.class_label)}" if grid.class_label else ""
-        stem = f"map_{args.kind}_{key}{suffix}"
+        stem = f"map_{args.kind}_{key}"
+        if grid.class_label:
+            stem += "_" + _file_label(grid.class_label, stem + "_")
         artifacts[stem + ".csv"] = grid.to_csv()
         artifacts[stem + ".json"] = grid.to_json({"provenance": _provenance_doc(args, seed, {
             "command": "map", "kind": args.kind, "distance": distance,

@@ -79,13 +79,13 @@ class Discretizer:
             if section not in doc:
                 raise DiscretizationError(f"discretizer sidecar lacks the {section!r} section")
         try:
-            bin_count = int(doc["bin_count"])
-        except (TypeError, ValueError):
+            bin_count = _integer(doc["bin_count"])
+        except TypeError:
             raise DiscretizationError(f"discretizer sidecar bin_count must be an integer, "
                                       f"got {doc['bin_count']!r}") from None
         cut_points = _sidecar_section(doc, "cut_points", "a list of numbers", _cut_list)
         label_codes = _sidecar_section(doc, "label_codes", "an object of integer codes",
-                                       lambda d: {lbl: int(c) for lbl, c in d.items()})
+                                       lambda d: {lbl: _integer(c) for lbl, c in d.items()})
         _check_sidecar(schema, cut_points, label_codes)
         return cls(
             schema=schema,
@@ -95,9 +95,21 @@ class Discretizer:
         )
 
 
+def _is_number(value) -> bool:
+    """A JSON number: an int or a float, not a bool or a numeric string."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _integer(value) -> int:
+    """A JSON number with no fractional part, as an int; else a TypeError."""
+    if not _is_number(value) or isinstance(value, float) and not value.is_integer():
+        raise TypeError(value)
+    return int(value)
+
+
 def _cut_list(value) -> tuple:
     """Cut points as the sidecar lists them, which must be a flat list of numbers."""
-    if not isinstance(value, list) or np.asarray(value, dtype=float).ndim != 1:
+    if not isinstance(value, list) or not all(map(_is_number, value)):
         raise TypeError(value)
     return tuple(value)
 

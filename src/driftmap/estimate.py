@@ -171,6 +171,19 @@ def select_window(dataset: EncodedDataset, interval: TimeInterval) -> WindowView
     return WindowView(dataset=dataset, interval=interval, lo=lo, hi=hi)
 
 
+def _mixed_radix(dataset: EncodedDataset, records, cols, cards) -> tuple[np.ndarray, np.ndarray]:
+    """The code rows of the records ``records`` (indices) over ``cols`` as
+    mixed-radix int64 keys, and which rows have no missing code."""
+    key = np.zeros(len(records), dtype=np.int64)
+    usable = np.ones(len(records), dtype=bool)
+    for c, card in zip(cols, cards):
+        column = dataset.codes[records, c]
+        usable &= column != MISSING_CODE
+        key *= card
+        key += column
+    return key, usable
+
+
 def window_counts(dataset: EncodedDataset, names, bounds) -> tuple[np.ndarray, np.ndarray]:
     """The counting kernel: counts of the code rows over ``names`` in each
     record range ``[lo, hi)`` of ``bounds`` (windows x 2), over one shared
@@ -198,13 +211,7 @@ def window_counts(dataset: EncodedDataset, names, bounds) -> tuple[np.ndarray, n
         usable = (rows != MISSING_CODE).all(axis=1)
         keys, ids = np.unique(rows[usable], axis=0, return_inverse=True)
     else:
-        key = np.zeros(len(records), dtype=np.int64)
-        usable = np.ones(len(records), dtype=bool)
-        for c, card in zip(cols, cards):
-            column = dataset.codes[records, c]
-            usable &= column != MISSING_CODE
-            key *= card
-            key += column
+        key, usable = _mixed_radix(dataset, records, cols, cards)
         codes, ids = np.unique(key[usable], return_inverse=True)
         strides = np.cumprod(np.append(1, cards[:0:-1]))[::-1]
         keys = codes[:, None] // strides % cards
@@ -219,6 +226,23 @@ def window_counts(dataset: EncodedDataset, names, bounds) -> tuple[np.ndarray, n
     counts = prefix[where[:, 1]]
     counts -= prefix[where[:, 0]]
     return keys, counts
+
+
+def key_bound(dataset: EncodedDataset, names, lo: int, hi: int, cells: int) -> int:
+    """A bound on the complete code rows over ``names`` that the records
+    ``[lo, hi)`` hold: their number when the key space has at most ``cells``
+    keys, read off a presence table that ``cells`` records at a time mark by
+    their mixed-radix keys; else the key space capped at the record count."""
+    cols = dataset.column_indices(names)
+    cards = [dataset.cardinalities[c] for c in cols]
+    space = math.prod(cards)
+    if space > cells:
+        return min(space, hi - lo)
+    seen = np.zeros(space, dtype=bool)
+    for start in range(lo, hi, cells):
+        key, usable = _mixed_radix(dataset, np.arange(start, min(start + cells, hi)), cols, cards)
+        seen[key[usable]] = True
+    return int(np.count_nonzero(seen))
 
 
 def key_runs(keys: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .discretize import EncodedDataset
 from .estimate import CLASS_ONLY, COVARIATES, JOINT, AttributeSubset, DistributionEstimate
-from .estimate import TimeInterval, key_runs, window_counts
+from .estimate import TimeInterval, key_bound, key_runs, window_counts
 # call points that perfbench/spans.py wraps; no measure calls them
 from .estimate import estimate_conditional, estimate_distribution  # noqa: F401
 
@@ -48,8 +48,8 @@ MEASURE_ROLES = {
 }
 
 
-# cells (window pairs x possible keys or records) per chunk of pair_distances; bounds
-# its working memory
+# cells (window pairs x seen keys) per chunk of pair_distances, and the records a chunk
+# may reach past its widest pair; bounds its working memory
 CHUNK_CELLS = 1 << 16
 
 
@@ -229,21 +229,32 @@ def pair_distances(dataset, pairs, conditioning, target, distance_kind):
     other side; its distance is taken as 1.0 (the conditional's entire mass
     appeared or disappeared), which keeps every measure symmetric.
 
-    A chunk holds ``CHUNK_CELLS`` // max(S, R) pairs, S bounding the key
-    count (the product of the attributes' cardinalities, capped at the
-    record count) and R the most records a pair holds. Each chunk's windows
-    are counted by one ``window_counts`` call, whose arrays stay near the
-    size of the chunk's windows, not of the stream.
+    Consecutive pairs are taken in chunks, each counted by one
+    ``window_counts`` call. With K the distinct code rows from the first
+    pair's records to the last's (``key_bound``), a chunk holds at most
+    ``CHUNK_CELLS // K`` pairs, so that its counts and prefix table stay
+    near ``CHUNK_CELLS`` cells, and reaches at most R + ``CHUNK_CELLS``
+    records, R being the most one pair reaches, so that a sweep compacts
+    each record a bounded number of times at any span. One pair is one
+    chunk, with no key count.
     """
     dist = distance_function(distance_kind)
     bounds = np.searchsorted(dataset.timestamps, np.asarray(pairs, dtype=np.int64),
                              side="left").reshape(-1, 4)
     names = conditioning + target
-    space = min(math.prod(dataset.cardinalities[c] for c in dataset.column_indices(names)),
-                len(dataset))
-    pair_records = int((bounds[:, 1::2] - bounds[:, ::2]).sum(axis=1).max(initial=0))
-    step = max(1, CHUNK_CELLS // max(space, pair_records, 1))
-    for chunk in (bounds[i:i + step] for i in range(0, len(bounds), step)):
+    first, last = bounds.min(axis=1), bounds.max(axis=1)
+    per_chunk = 1
+    if len(bounds) > 1:
+        seen = key_bound(dataset, names, int(first.min()), int(last.max()), CHUNK_CELLS)
+        per_chunk = max(1, CHUNK_CELLS // max(1, seen))
+    reach = int((last - first).max(initial=0)) + CHUNK_CELLS
+    i = 0
+    while i < len(bounds):
+        ahead = slice(i, i + per_chunk)
+        # the records the chunk's windows span, as it takes each further pair
+        spread = np.maximum.accumulate(last[ahead]) - np.minimum.accumulate(first[ahead])
+        j = i + int(np.searchsorted(spread, reach, side="right"))
+        chunk, i = bounds[i:j], j
         keys, counts = window_counts(dataset, names, chunk.reshape(-1, 2))
         a, b = counts[0::2], counts[1::2]
         starts, group = key_runs(keys, len(conditioning))

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -263,6 +264,27 @@ def test_failed_second_write_removes_the_first(workspace, capsys, monkeypatch):
     assert "disk full" in capsys.readouterr().err
     assert len(calls) == 2
     assert not list((workspace / "out").iterdir())
+
+
+@pytest.mark.parametrize("out, existing", [
+    ("out", False), ("out/nested/deeper", False), ("out", True), ("out/nested", True),
+], ids=["new", "new-nested", "existing", "existing-parent"])
+def test_failed_first_write_removes_the_directories_it_made(workspace, capsys, monkeypatch,
+                                                            out, existing):
+    if existing:
+        (workspace / "out").mkdir()
+
+    def failing_write(path, content, *args, **kwargs):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(Path, "write_text", failing_write)
+    rc = run_cli(["encode", *base_args(workspace)[:-1], str(workspace / out)])
+    assert rc == 1
+    assert "disk full" in capsys.readouterr().err
+    if existing:
+        assert not list((workspace / "out").iterdir())
+    else:
+        assert not (workspace / "out").exists()
 
 
 @pytest.mark.parametrize("old, new, key", [
@@ -617,3 +639,24 @@ def test_class_labels_become_one_file_name_part_each(workspace, capsys):
     assert suffixes == ["a%252Fb", "a%2Fb", "neg", "pos"]
     classes = {p.stem.rsplit("_", 1)[1]: _csv_rows(p)[0]["class"] for p in files}
     assert classes == {"a%252Fb": "a%2Fb", "a%2Fb": "a/b", "neg": "neg", "pos": "pos"}
+
+
+def test_long_class_labels_are_cut_to_names_of_their_own(workspace, capsys):
+    # each name would pass the 255-byte file-name limit; the two labels share
+    # all but their last character
+    long_a, long_b = "L" * 250, "L" * 249 + "M"
+    text = (workspace / "data.csv").read_text().replace(",pos\n", f",{long_a}\n", 50)
+    (workspace / "data.csv").write_text(text.replace(",neg\n", f",{long_b}\n", 50))
+    rc = run_cli(["map", *base_args(workspace), "--kind", "conditioned-pairwise",
+                  "--window-a", "0:200", "--window-b", "200:400",
+                  "--format-out", "csv,json,svg"])
+    assert rc == 0, capsys.readouterr().err
+    files = [Path(p) for p in capsys.readouterr().out.splitlines()]
+    assert len(set(files)) == len(files) == 12
+    assert max(len(p.name.encode()) for p in files) == 255  # the longest, .json
+    classes = {p.stem.split("_", 3)[3]: json.loads(p.read_text())["class"]
+               for p in files if p.suffix == ".json"}
+    # the stem before the label is 38 bytes, so a cut label keeps 194 of its characters
+    cut = {"L" * 194 + "%-" + hashlib.sha256(label.encode()).hexdigest()[:16]: label
+           for label in (long_a, long_b)}
+    assert classes == {"neg": "neg", "pos": "pos", **cut}

@@ -154,16 +154,43 @@ def test_sidecar_round_trip(rng):
     (lambda doc: doc["label_codes"].update(y={"a": "zero"}), "label_codes of attribute 'y'"),
     (lambda doc: doc.update(bin_count="x"), "^discretizer sidecar bin_count must be an "
                                             "integer, got 'x'$"),
+    (lambda doc: doc["cut_points"].update(x=["1.5"]),
+     "^discretizer sidecar cut_points of attribute 'x' must be a list of numbers, "
+     "got \\['1.5'\\]$"),
+    (lambda doc: doc["cut_points"].update(x=[0.5, True]),
+     "cut_points of attribute 'x' must be a list of numbers, got \\[0.5, True\\]$"),
+    (lambda doc: doc["label_codes"].update(y={"a": 0.9, "b": 1}),
+     "^discretizer sidecar label_codes of attribute 'y' must be an object of integer codes, "
+     "got {'a': 0.9, 'b': 1}$"),
+    (lambda doc: doc["label_codes"].update(y={"a": "0", "b": 1}),
+     "label_codes of attribute 'y' must be an object of integer codes"),
+    (lambda doc: doc.update(bin_count=5.7), "^discretizer sidecar bin_count must be an "
+                                            "integer, got 5.7$"),
+    (lambda doc: doc.update(bin_count="5"), "bin_count must be an integer, got '5'$"),
 ], ids=["missing-numeric", "missing-categorical", "extra", "decreasing", "repeated",
         "infinite", "code-gap", "no-cut-points", "no-label-codes", "no-bin-count",
         "cut-points-a-number", "cut-point-text", "cut-points-nested", "cut-points-a-list",
-        "label-codes-a-list", "label-code-text", "bin-count-text"])
+        "label-codes-a-list", "label-code-text", "bin-count-text", "cut-point-numeric-text",
+        "cut-point-bool", "label-code-fraction", "label-code-numeric-text",
+        "bin-count-fraction", "bin-count-numeric-text"])
 def test_sidecar_checked_against_schema(edit, message):
     raw = make_raw([1.0, 2.0, 3.0, 4.0], ["a", "b", "a", "b"])
     doc = json.loads(fit_discretizer(raw, bin_count=3).to_json())
     edit(doc)
     with pytest.raises(DiscretizationError, match=message):
         Discretizer.from_json(json.dumps(doc), raw.schema)
+
+
+def test_sidecar_takes_integral_numbers_as_integers():
+    raw = make_raw([1.0, 2.0, 3.0, 4.0], ["a", "b", "a", "b"])
+    fitted = fit_discretizer(raw, bin_count=3)
+    doc = json.loads(fitted.to_json())
+    doc.update(bin_count=3.0, label_codes={"y": {"a": 0.0, "b": 1}})
+    restored = Discretizer.from_json(json.dumps(doc), raw.schema)
+    assert restored.bin_count == 3 and type(restored.bin_count) is int
+    assert restored.label_codes == {"y": {"a": 0, "b": 1}}
+    assert all(type(c) is int for c in restored.label_codes["y"].values())
+    assert restored.to_json() == fitted.to_json()
 
 
 def test_sidecar_must_be_an_object():

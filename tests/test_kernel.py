@@ -10,7 +10,9 @@ oracles are selected by a plain timestamp scan, independent of
 
 import dataclasses
 import math
+import types
 from collections import Counter
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -35,6 +37,7 @@ from driftmap.measures import (
     compute_drift,
 )
 from driftmap.schema import CATEGORICAL, NUMERIC, Attribute, AttributeSchema, RawDataset
+from driftmap.schema import ingest_records, parse_schema
 from driftmap.temporal import ADJACENT, CONSECUTIVE, MeasureSpec, SweepSpec, drift_series
 
 from conftest import build_encoded
@@ -257,3 +260,98 @@ def test_sweep_over_a_key_space_beyond_int64_matches_compute_drift():
                          measures=_all_measures(["a0", "a1"]))
         series = _assert_sweep_is_per_point_drift(ds, spec)
         assert len(series) > 5
+
+
+def _chunks(dataset, spec):
+    """Each ``window_counts`` call of one ``drift_series``: its window pairs,
+    as record ranges (pairs x 4), and the records it compacts (those inside
+    any of its windows)."""
+    calls = []
+
+    def counting(ds, names, bounds):
+        bounds = np.asarray(bounds)
+        inside = np.zeros(len(ds), dtype=bool)
+        for lo, hi in bounds:
+            inside[lo:hi] = True
+        calls.append((bounds.reshape(-1, 4), int(inside.sum())))
+        return window_counts(ds, names, bounds)
+
+    with mock.patch.object(measures, "window_counts", counting):
+        drift_series(dataset, spec)
+    return calls
+
+
+@pytest.fixture(scope="module")
+def bench_stream():
+    """The benchmark's electricity-shaped stream (seed 1), encoded: 45,312
+    half-hour records, five covariates in five bins and a two-label class."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "stream.py"
+    stream = types.ModuleType("stream")
+    # compiled here, so that no bytecode is written under perfbench/
+    exec(compile(path.read_text(), str(path), "exec"), stream.__dict__)
+    raw = ingest_records(stream.generate_csv(1), "csv", parse_schema(stream.CONFIG_YAML))
+    return apply_discretizer(raw, fit_discretizer(raw, 5)), stream
+
+
+def _daily_sweep(stream, days, kind, names):
+    return SweepSpec(compute_step=stream.TICKS_PER_DAY, span=days * stream.TICKS_PER_DAY,
+                     measures=(MeasureSpec(kind, AttributeSubset.covariates(names)),))
+
+
+@pytest.mark.parametrize("days", [30, 365])
+@pytest.mark.parametrize("kind", ["covariate", "posterior"])
+def test_a_sweep_compacts_each_record_a_few_times_at_any_span(bench_stream, kind, days):
+    """Chunks are sized by the keys the sweep sees and capped in the records
+    they reach, so the records compacted stay linear in the stream, at a
+    month's span as at a year's."""
+    dataset, stream = bench_stream
+    chunks = _chunks(dataset, _daily_sweep(stream, days, kind, stream.COVARIATES))
+    assert sum(records for _, records in chunks) < 5 * len(dataset)
+
+
+def test_a_one_attribute_sweep_takes_as_many_chunks_at_30_as_at_365_days(bench_stream):
+    dataset, stream = bench_stream
+    counts = [len(_chunks(dataset, _daily_sweep(stream, days, "covariate", ["nswprice"])))
+              for days in (30, 365)]
+    assert counts[0] == counts[1]
+
+
+@st.composite
+def few_key_streams(draw):
+    """Two covariates of 4 codes and a two-label class (a product space of
+    32 keys) whose records take 2 to 4 distinct covariate rows, the first
+    records each row in turn, the others a drawn one, a few with a missing
+    code: one record a tick for 24 ticks, then six a tick for 24."""
+    pool = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                         min_size=2, max_size=4, unique=True))
+    stamps = np.repeat(np.arange(48), [1] * 24 + [6] * 24)
+    rows = []
+    for i in range(len(stamps)):
+        row = [*(pool[i] if i < len(pool) else draw(st.sampled_from(pool))),
+               draw(st.integers(0, 1))]
+        if i >= len(pool) and draw(st.integers(0, 9)) == 0:
+            row[draw(st.integers(0, 2))] = MISSING_CODE
+        rows.append(row)
+    return build_encoded(rows, [4, 4, 2], timestamps=stamps), len(pool)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(few_key_streams(), st.integers(1, 2), st.sampled_from([ADJACENT, CONSECUTIVE]))
+def test_sweep_split_by_seen_keys_and_reach_matches_compute_drift(case, span, alignment):
+    """With a 32-cell budget the key space (16 or 32 keys) would allow one or
+    two pairs a chunk; the 2 to 4 covariate rows seen allow 8 to 16. In the
+    sparse ticks that key bound ends a chunk, in the dense ticks the cap on
+    the records a chunk reaches does, and every point stays bit-identical."""
+    dataset, seen = case
+    with mock.patch.object(measures, "CHUNK_CELLS", 32):
+        spec = SweepSpec(compute_step=1, span=span, alignment=alignment,
+                         measures=_all_measures(["a0", "a1"]))
+        _assert_sweep_is_per_point_drift(dataset, spec)
+        covariates = dataclasses.replace(spec, measures=(
+            MeasureSpec("covariate", AttributeSubset.covariates(["a0", "a1"])),))
+        chunks = [bounds for bounds, _ in _chunks(dataset, covariates)]
+    widest = max(int(pair.max() - pair.min()) for bounds in chunks for pair in bounds)
+    assert max(int(bounds.max() - bounds.min()) for bounds in chunks) <= widest + 32
+    sizes = [len(bounds) for bounds in chunks]
+    assert max(sizes) == 32 // seen  # the key bound ends a chunk
+    assert min(sizes[:-1]) < 32 // seen  # and so does the reach cap
