@@ -28,12 +28,14 @@ from .discretize import (
     fit_discretizer,
 )
 from .estimate import CLASS_ONLY, JOINT, AttributeSubset, EstimationError, TimeInterval
+from .estimate import fits_int64
+from .measures import compute_drift  # noqa: F401 - a call point perfbench/spans.py wraps
 from .measures import (
     TOTAL_VARIATION,
     HELLINGER,
     MEASURE_ROLES,
     MEASUREMENT_FIELDS,
-    compute_drift,
+    pair_measurements,
     table_csv,
     table_json,
 )
@@ -61,9 +63,10 @@ class CliError(ValueError):
     pass
 
 
-def _parse_span(text, schema: AttributeSchema) -> int:
+def _parse_span(text, schema: AttributeSchema, source: str) -> int:
     """A span/step value: integer ticks, or 'Nd'/'Nw' resolved via the
-    schema's declared ticks_per_day."""
+    schema's declared ticks_per_day; one past an int64 fails naming
+    ``source``, its flag or config key."""
     given = text = str(text).strip()
     unit = 1
     if text.endswith(("d", "w")):
@@ -78,6 +81,8 @@ def _parse_span(text, schema: AttributeSchema) -> int:
         raise CliError(f"unparseable span {given!r}") from None
     if value <= 0:
         raise CliError("span/step must be positive")
+    if not fits_int64(value):
+        raise CliError(f"{source}: {given!r} exceeds the int64 tick range")
     return value
 
 
@@ -292,8 +297,8 @@ def cmd_measure(args) -> dict:
     measure_args = _measure_args(args, config.analysis, list(MEASURE_ROLES))
     specs = _measure_specs(measure_args, config.schema, distance)
     encoded, seed = _load_data(args, config)
-    results = [compute_drift(encoded, window_a, window_b, m.measure_kind, m.subset, distance)
-               for m in specs]
+    results = pair_measurements(encoded, window_a, window_b,
+                                [(m.measure_kind, m.subset) for m in specs], distance)
 
     key = _provenance_hash({
         "cmd": "measure", "seed": seed, "distance": distance,
@@ -317,8 +322,9 @@ def cmd_series(args) -> dict:
     config = _load_config(args)
     analysis, schema = config.analysis, config.schema
     distance = _distance(args, analysis)
-    step = _parse_span(args.step or analysis.get("step", 1), schema)
-    span = _parse_span(args.span or analysis.get("span", 1), schema)
+    step, span = (_parse_span(getattr(args, key) or analysis.get(key, 1), schema,
+                              f"--{key}" if getattr(args, key) else f"analysis.{key}")
+                  for key in ("step", "span"))
     alignment = args.alignment or analysis.get("alignment", ADJACENT)
     measure_args = _measure_args(args, analysis, ["covariate"])
     spec = SweepSpec(compute_step=step, span=span, alignment=alignment,

@@ -195,26 +195,24 @@ def _equal_frequency_cuts(values: np.ndarray, bin_count: int) -> tuple[float, ..
     Cuts may only sit between distinct values. When the ideal rank split
     lands inside a run of equal values, the cut moves to the nearer run
     boundary (ties broken toward the lower boundary). The cut value is the
-    last value of the lower run, consistent with right-closed bins.
+    value of the lower run, as its first element holds it (so a run of
+    ``-0.0`` and ``0.0`` keeps its first one's sign), consistent with
+    right-closed bins.
     """
     ordered = np.sort(values)
-    n = len(ordered)
-    distinct, first_index = np.unique(ordered, return_index=True)
-    if len(distinct) <= 1:
+    # where each run of equal values starts; the boundaries between runs are the later starts
+    starts = np.flatnonzero(np.append(True, ordered[1:] != ordered[:-1]))
+    boundaries = starts[1:]
+    if not len(boundaries):
         return ()
-    # cumulative count at the end of each distinct-value run
-    run_ends = np.append(first_index[1:], n)
-
-    # candidate boundaries are the run ends (excluding the final one,
-    # which would create an empty top bin)
-    candidates = run_ends[:-1]
-    cut_values = []
-    for i in range(1, bin_count):
-        ideal = i * n / bin_count
-        deltas = np.abs(candidates - ideal)
-        best = int(np.argmin(deltas))  # argmin takes the first, i.e. lower, boundary on ties
-        cut_values.append(float(distinct[best]))
-    return tuple(sorted(set(cut_values)))
+    ideal = np.arange(1, bin_count) * len(ordered) / bin_count
+    # the nearest boundary to each ideal rank is one of the two around it; the lower on a tie
+    upper = np.minimum(np.searchsorted(boundaries, ideal), len(boundaries) - 1)
+    lower = np.maximum(upper - 1, 0)
+    best = np.where(np.abs(boundaries[lower] - ideal) <= np.abs(boundaries[upper] - ideal),
+                    lower, upper)
+    # the run below boundary b starts at starts[b]
+    return tuple(ordered[starts[np.unique(best)]].tolist())
 
 
 def fit_discretizer(dataset: RawDataset, bin_count: int = DEFAULT_BIN_COUNT) -> Discretizer:
@@ -261,9 +259,15 @@ def apply_discretizer(dataset: RawDataset, discretizer: Discretizer) -> EncodedD
 
     for j, (attr, column) in enumerate(zip(dataset.schema.attributes, dataset.columns)):
         if attr.kind == NUMERIC:
-            present = ~np.isnan(column)
-            cuts = np.asarray(discretizer.cut_points[attr.name], float)
-            codes[present, j] = np.searchsorted(cuts, column[present], side="left")
+            # a value's code is searchsorted(cuts, v, side="left"), the number of cut
+            # points below it, counted here in one branch-free pass per cut; NaN
+            # compares above no cut and is then marked missing
+            cuts = discretizer.cut_points[attr.name]
+            below = np.zeros(len(column), dtype=np.min_scalar_type(len(cuts)))
+            for cut in cuts:
+                below += column > cut
+            codes[:, j] = below
+            codes[np.isnan(column), j] = MISSING_CODE
         else:
             # one lookup per distinct label, spread back over the records
             table = discretizer.label_codes[attr.name]

@@ -3,10 +3,13 @@
 Every estimate and measure counts with one function, ``window_counts``:
 it counts the code rows of an attribute list in any number of record
 ranges over one shared, sorted key space. The estimates pass one range;
-``measures.pair_distances`` passes both windows of every pair in a chunk.
-Estimates are sparse: only observed code tuples are stored, absent tuples
-mean probability zero. Records missing a value on any attribute of the
-subset under analysis are dropped from that subset's counts only.
+``measures.pair_distances`` passes both windows of every pair in a chunk,
+and ``measures.pair_reductions`` counts one pair once over the union of the
+attributes it needs, then projects each subset's counts out of that count
+(``project_counts``). Estimates are sparse: only observed code tuples are
+stored, absent tuples mean probability zero. Records missing a value on any
+attribute of the subset under analysis are dropped from that subset's
+counts only.
 """
 
 from __future__ import annotations
@@ -27,6 +30,11 @@ JOINT = "covariates-plus-class"
 MAX_KEY_SPACE = 2 ** 62
 
 
+def fits_int64(value: int) -> bool:
+    """A tick, step or span that numpy holds in an int64."""
+    return -2 ** 63 <= value < 2 ** 63
+
+
 class EstimationError(ValueError):
     pass
 
@@ -39,6 +47,9 @@ class TimeInterval:
     end: int
 
     def __post_init__(self):
+        for tick in (self.start, self.end):
+            if not fits_int64(tick):
+                raise EstimationError(f"tick {tick} is outside the int64 range")
         if self.start >= self.end:
             raise EstimationError(f"empty interval [{self.start}, {self.end})")
 
@@ -171,20 +182,25 @@ def select_window(dataset: EncodedDataset, interval: TimeInterval) -> WindowView
     return WindowView(dataset=dataset, interval=interval, lo=lo, hi=hi)
 
 
-def _mixed_radix(dataset: EncodedDataset, records, cols, cards) -> tuple[np.ndarray, np.ndarray]:
-    """The code rows of the records ``records`` (indices) over ``cols`` as
-    mixed-radix int64 keys, and which rows have no missing code."""
-    key = np.zeros(len(records), dtype=np.int64)
-    usable = np.ones(len(records), dtype=bool)
-    for c, card in zip(cols, cards):
-        column = dataset.codes[records, c]
-        usable &= column != MISSING_CODE
-        key *= card
+def _mixed_radix(columns, radices, n: int, shift: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """The code rows whose attributes' codes are ``columns`` (``n`` each) as
+    mixed-radix int64 keys over ``radices``, and which rows have no missing
+    code. With ``shift`` 1 each code is counted one up, so a missing code is
+    its attribute's lowest code and no row is unusable."""
+    key = np.zeros(n, dtype=np.int64)
+    usable = np.ones(n, dtype=bool)
+    for column, radix in zip(columns, radices):
+        key *= radix
         key += column
+        if shift:
+            key += shift
+        else:
+            usable &= column != MISSING_CODE
     return key, usable
 
 
-def window_counts(dataset: EncodedDataset, names, bounds) -> tuple[np.ndarray, np.ndarray]:
+def window_counts(dataset: EncodedDataset, names, bounds,
+                  keep_missing: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """The counting kernel: counts of the code rows over ``names`` in each
     record range ``[lo, hi)`` of ``bounds`` (windows x 2), over one shared
     key space.
@@ -192,12 +208,14 @@ def window_counts(dataset: EncodedDataset, names, bounds) -> tuple[np.ndarray, n
     Returns ``keys`` (K x len(names)), every code row seen in any window
     once, sorted lexicographically so that rows sharing their leading codes
     are contiguous, and ``counts`` (windows x K, int64). Records missing a
-    value on any of ``names`` are dropped. The records inside any window are
-    compacted once with one ``np.unique``, as mixed-radix int64 keys or as
-    rows when the key space would not fit an int64. Their key ids are then
-    bincounted per segment between the sorted window edges and summed up,
-    so each window's counts are the difference of two prefix rows, and a
-    record is compacted once however many windows hold it.
+    value on any of ``names`` are dropped, unless ``keep_missing``: then
+    ``MISSING_CODE`` is counted as one more code of each attribute, its
+    lowest, for ``project_counts`` to drop per subset. The records inside
+    any window are compacted once with one ``np.unique``, as mixed-radix
+    int64 keys or as rows when the key space would not fit an int64. Their
+    key ids are then bincounted per segment between the sorted window edges
+    and summed up, so each window's counts are the difference of two prefix
+    rows, and a record is compacted once however many windows hold it.
     """
     bounds = np.asarray(bounds)
     lo, hi = bounds.min(), bounds.max()
@@ -205,16 +223,18 @@ def window_counts(dataset: EncodedDataset, names, bounds) -> tuple[np.ndarray, n
                       - np.bincount(bounds[:, 1] - lo, minlength=hi - lo + 1))
     records = lo + np.flatnonzero(depth[:-1])
     cols = dataset.column_indices(names)
-    cards = [dataset.cardinalities[c] for c in cols]
-    if math.prod(cards) > MAX_KEY_SPACE:
+    shift = int(keep_missing)
+    radices = [dataset.cardinalities[c] + shift for c in cols]
+    if math.prod(radices) > MAX_KEY_SPACE:
         rows = dataset.codes[np.ix_(records, cols)]
-        usable = (rows != MISSING_CODE).all(axis=1)
+        usable = keep_missing | (rows != MISSING_CODE).all(axis=1)
         keys, ids = np.unique(rows[usable], axis=0, return_inverse=True)
     else:
-        key, usable = _mixed_radix(dataset, records, cols, cards)
+        key, usable = _mixed_radix((dataset.codes[records, c] for c in cols), radices,
+                                   len(records), shift)
         codes, ids = np.unique(key[usable], return_inverse=True)
-        strides = np.cumprod(np.append(1, cards[:0:-1]))[::-1]
-        keys = codes[:, None] // strides % cards
+        strides = np.cumprod(np.append(1, radices[:0:-1]))[::-1]
+        keys = codes[:, None] // strides % radices - shift
     k = len(keys)
     edges, where = np.unique(bounds, return_inverse=True)
     where = where.reshape(bounds.shape)
@@ -228,21 +248,51 @@ def window_counts(dataset: EncodedDataset, names, bounds) -> tuple[np.ndarray, n
     return keys, counts
 
 
+def project_counts(keys: np.ndarray, counts: np.ndarray, cols) -> tuple[np.ndarray, np.ndarray]:
+    """What ``window_counts`` counts over a subset of its attributes, read
+    off its ``keep_missing`` result ``keys``, ``counts``, ``cols`` being the
+    subset's key columns: a key missing a code of the subset is dropped, and
+    the others are sorted lexicographically on ``cols`` and merged, summing
+    their integer counts, so exactly."""
+    rows = keys[:, cols]
+    kept = np.flatnonzero((rows != MISSING_CODE).all(axis=1))
+    kept = kept[np.lexsort(rows[kept].T[::-1])]  # the first column is the primary key
+    rows = rows[kept]
+    starts, _ = key_runs(rows, len(cols))
+    return rows[starts], np.add.reduceat(counts[:, kept], starts, axis=1)
+
+
 def key_bound(dataset: EncodedDataset, names, lo: int, hi: int, cells: int) -> int:
     """A bound on the complete code rows over ``names`` that the records
-    ``[lo, hi)`` hold: their number when the key space has at most ``cells``
-    keys, read off a presence table that ``cells`` records at a time mark by
-    their mixed-radix keys; else the key space capped at the record count."""
+    ``[lo, hi)`` hold, read ``cells`` records at a time. When the key space
+    has at most ``cells`` keys, their number, off a presence table that each
+    piece marks by its mixed-radix keys. Else the size of the sorted union
+    of the pieces' keys, which stops growing once it passes ``cells``: any
+    bound past ``cells`` sizes a chunk alike. Past an int64 key space, the
+    key space capped at the record count."""
     cols = dataset.column_indices(names)
     cards = [dataset.cardinalities[c] for c in cols]
     space = math.prod(cards)
-    if space > cells:
+    if space > MAX_KEY_SPACE:
         return min(space, hi - lo)
-    seen = np.zeros(space, dtype=bool)
-    for start in range(lo, hi, cells):
-        key, usable = _mixed_radix(dataset, np.arange(start, min(start + cells, hi)), cols, cards)
-        seen[key[usable]] = True
-    return int(np.count_nonzero(seen))
+
+    def piece_keys():
+        for start in range(lo, hi, cells):
+            piece = np.arange(start, min(start + cells, hi))
+            key, usable = _mixed_radix((dataset.codes[piece, c] for c in cols), cards, len(piece))
+            yield key[usable]
+
+    if space <= cells:
+        seen = np.zeros(space, dtype=bool)
+        for key in piece_keys():
+            seen[key] = True
+        return int(np.count_nonzero(seen))
+    union = np.zeros(0, dtype=np.int64)
+    for key in piece_keys():
+        union = np.union1d(union, key)
+        if len(union) > cells:
+            break
+    return len(union)
 
 
 def key_runs(keys: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:

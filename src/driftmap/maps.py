@@ -15,14 +15,16 @@ from dataclasses import dataclass, field
 from .discretize import EncodedDataset
 from .estimate import AttributeSubset, TimeInterval
 from .estimate import estimate_conditional  # noqa: F401 - a call point perfbench/spans.py wraps
-from .measures import distance_function  # noqa: F401 - a call point perfbench/spans.py wraps
+# call points that perfbench/spans.py wraps; every map reads its cells off one count
+from .measures import distance_function, marginal_drift, posterior_drift  # noqa: F401
 from .measures import (
+    POSTERIOR_DRIFT,
     STATUS_INSUFFICIENT,
     STATUS_OK,
     TOTAL_VARIATION,
-    marginal_drift,
-    pair_distances,
-    posterior_drift,
+    marginal_kind,
+    pair_measurements,
+    pair_reductions,
     table_csv,
     table_json,
 )
@@ -133,16 +135,25 @@ def map_attributes(schema, attributes, map_kind, include_class=False) -> tuple[s
     return attributes
 
 
-def _pairwise_cells(attributes: tuple[str, ...], cell_fn) -> list[list]:
-    """The symmetric grid of ``cell_fn(names)`` over every attribute pair
-    i <= j, where ``names`` is the pair (one name on the diagonal)."""
+def _pairwise_cells(attributes: tuple[str, ...], cells_fn) -> list[list]:
+    """The symmetric grid over every attribute pair i <= j, whose values
+    ``cells_fn(pairs)`` gives for all the pairs, row by row, at once; a pair
+    is its names (one name on the diagonal)."""
     n = len(attributes)
+    index = [(i, j) for i in range(n) for j in range(i, n)]
+    values = cells_fn([(attributes[i],) if i == j else (attributes[i], attributes[j])
+                       for i, j in index])
     cells: list[list] = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            names = (attributes[i],) if i == j else (attributes[i], attributes[j])
-            cells[i][j] = cells[j][i] = cell_fn(names)
+    for (i, j), value in zip(index, values):
+        cells[i][j] = cells[j][i] = value
     return cells
+
+
+def _drifts(dataset, window_a, window_b, requests, distance_kind) -> list:
+    """The magnitude of each ``(measure_kind, subset)`` of ``requests``, all
+    read off one count of the window pair."""
+    return [m.magnitude for m in pair_measurements(dataset, window_a, window_b, list(requests),
+                                                   distance_kind)]
 
 
 def _grid(map_kind, rows, cols, cells, window_a, window_b, distance_kind,
@@ -176,31 +187,35 @@ def pairwise_joint_map(
     """
     attributes = map_attributes(dataset.schema, attributes, PAIRWISE_JOINT, include_class)
 
-    def cell(names):
+    def request(names):
         subset = AttributeSubset.of(names, dataset.schema.class_attribute)
-        return marginal_drift(dataset, window_a, window_b, subset, distance_kind).magnitude
+        return marginal_kind(subset), subset
 
-    return _grid(PAIRWISE_JOINT, attributes, attributes, _pairwise_cells(attributes, cell),
-                 window_a, window_b, distance_kind)
+    cells = _pairwise_cells(attributes, lambda pairs: _drifts(
+        dataset, window_a, window_b, map(request, pairs), distance_kind))
+    return _grid(PAIRWISE_JOINT, attributes, attributes, cells, window_a, window_b,
+                 distance_kind)
 
 
 def _class_labels(dataset: EncodedDataset) -> tuple[str, ...]:
     return tuple(dataset.discretizer.labels_for(dataset.schema.class_attribute))
 
 
-def _per_class_distances(dataset, window_a, window_b, names, distance_kind) -> list:
-    """Inner (unweighted) distance of the conditionals over ``names`` for
-    each class code, read out of one reduction of the window pair.
+def _per_class_distances(dataset, window_a, window_b, name_lists, distance_kind) -> list:
+    """For each of ``name_lists``, the inner (unweighted) distance of the
+    conditionals over its names for each class code, all read off one count
+    of the window pair.
 
     One-sided support maps to 1.0; a class absent from both windows is an
     insufficient-data cell (None).
     """
-    pair = [(window_a.start, window_a.end, window_b.start, window_b.end)]
-    [(classes, _, _, (d,))] = pair_distances(dataset, pair, (dataset.schema.class_attribute,),
-                                             names, distance_kind)
-    # one pair: every tuple of the chunk is seen in one of its two windows
-    found = dict(zip(classes[:, 0].tolist(), d.tolist()))
-    return [found.get(code) for code in range(len(_class_labels(dataset)))]
+    label = (dataset.schema.class_attribute,)
+    codes = range(len(_class_labels(dataset)))
+    reductions = pair_reductions(dataset, window_a, window_b,
+                                 [(label, names) for names in name_lists], distance_kind)
+    # one pair: every tuple of a reduction is seen in one of its two windows
+    found = [dict(zip(classes[:, 0].tolist(), d.tolist())) for classes, _, _, (d,) in reductions]
+    return [[cell.get(code) for code in codes] for cell in found]
 
 
 def conditioned_univariate_map(
@@ -218,8 +233,8 @@ def conditioned_univariate_map(
     conditioned covariate drift.
     """
     attributes = map_attributes(dataset.schema, attributes, CONDITIONED_UNIVARIATE)
-    cells = [_per_class_distances(dataset, window_a, window_b, (attr,), distance_kind)
-             for attr in attributes]
+    cells = _per_class_distances(dataset, window_a, window_b, [(a,) for a in attributes],
+                                 distance_kind)
     return _grid(CONDITIONED_UNIVARIATE, attributes, _class_labels(dataset), cells,
                  window_a, window_b, distance_kind)
 
@@ -233,8 +248,8 @@ def conditioned_pairwise_map(
 ) -> list[HeatMapGrid]:
     """One attribute-pair grid per class; cells are unweighted inner distances."""
     attributes = map_attributes(dataset.schema, attributes, CONDITIONED_PAIRWISE)
-    per_class = _pairwise_cells(attributes, lambda names: _per_class_distances(
-        dataset, window_a, window_b, names, distance_kind))
+    per_class = _pairwise_cells(attributes, lambda pairs: _per_class_distances(
+        dataset, window_a, window_b, pairs, distance_kind))
     return [_grid(CONDITIONED_PAIRWISE, attributes, attributes,
                   [[cell[code] for cell in row] for row in per_class],
                   window_a, window_b, distance_kind, class_label=label)
@@ -254,10 +269,8 @@ def posterior_pairwise_map(
     conditioned, dimensionality grows), so no monotonicity bound applies.
     """
     attributes = map_attributes(dataset.schema, attributes, POSTERIOR_PAIRWISE)
-
-    def cell(names):
-        subset = AttributeSubset.covariates(names)
-        return posterior_drift(dataset, window_a, window_b, subset, distance_kind).magnitude
-
-    return _grid(POSTERIOR_PAIRWISE, attributes, attributes, _pairwise_cells(attributes, cell),
-                 window_a, window_b, distance_kind)
+    cells = _pairwise_cells(attributes, lambda pairs: _drifts(
+        dataset, window_a, window_b,
+        [(POSTERIOR_DRIFT, AttributeSubset.covariates(names)) for names in pairs], distance_kind))
+    return _grid(POSTERIOR_PAIRWISE, attributes, attributes, cells, window_a, window_b,
+                 distance_kind)

@@ -4,9 +4,11 @@ Plain distances (total variation, Hellinger) between marginal estimates,
 plus the two weighted conditional measures: conditioned covariate drift
 (per-class covariate distances weighted by average class probability) and
 posterior drift (per-tuple class distances weighted by average covariate
-tuple probability). ``pair_distances`` is the one window-pair reduction: it
-takes any number of window pairs at once, so a measure or a per-class map
-cell passes one pair and a sweep passes all its points in one call.
+tuple probability). ``_reduce`` is the one window-pair reduction and
+``_magnitudes`` the one step from it to a magnitude. A sweep feeds them
+chunks of its pairs counted together (``pair_distances``); one window pair
+is counted once over every attribute its measures or map cells name, and
+each of them is projected out of that count (``pair_reductions``).
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 
 from .discretize import EncodedDataset
 from .estimate import CLASS_ONLY, COVARIATES, JOINT, AttributeSubset, DistributionEstimate
-from .estimate import TimeInterval, key_bound, key_runs, window_counts
+from .estimate import TimeInterval, key_bound, key_runs, project_counts, window_counts
 # call points that perfbench/spans.py wraps; no measure calls them
 from .estimate import estimate_conditional, estimate_distribution  # noqa: F401
 
@@ -214,20 +216,33 @@ def hellinger(p: DistributionEstimate, q: DistributionEstimate) -> float:
     return _estimate_distance(HELLINGER, p, q)
 
 
-def pair_distances(dataset, pairs, conditioning, target, distance_kind):
-    """For the window pairs ``pairs`` (rows of ``(a_start, a_end, b_start,
-    b_end)`` ticks), in order and a chunk of consecutive pairs at a time:
-    count each pair over ``conditioning + target`` and reduce it per
-    conditioning tuple (one empty tuple when there is no conditioning).
-    Yields, per chunk, the tuples seen in any of its windows (tuples x
-    len(conditioning)) and three arrays of chunk pairs x tuples: each
-    tuple's count in window a, in window b, and the distance between the two
-    windows' conditionals of ``target``. A tuple that a pair counts in
-    neither window is not seen by that pair.
+def _reduce(keys, a, b, k: int, dist):
+    """The one window-pair reduction of the counts ``a``, ``b`` (pairs x
+    keys) in windows a and b over the sorted ``keys``, per conditioning
+    tuple, the first ``k`` codes of a key (one empty tuple when ``k`` is 0):
+    the tuples (tuples x k) and three arrays of pairs x tuples, each tuple's
+    count in window a, in window b, and the distance ``dist`` between the
+    two windows' conditionals of the other codes.
 
     A tuple observed in only one window has an undefined conditional on the
     other side; its distance is taken as 1.0 (the conditional's entire mass
     appeared or disappeared), which keeps every measure symmetric.
+    """
+    starts, group = key_runs(keys, k)
+    m_a, m_b = np.add.reduceat(a, starts, axis=1), np.add.reduceat(b, starts, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d = dist(a, b, m_a[:, group], m_b[:, group], starts)
+    d[(m_a == 0) | (m_b == 0)] = 1.0
+    return keys[starts, :k], m_a, m_b, d
+
+
+def pair_distances(dataset, pairs, conditioning, target, distance_kind):
+    """For the window pairs ``pairs`` (rows of ``(a_start, a_end, b_start,
+    b_end)`` ticks), in order and a chunk of consecutive pairs at a time:
+    count each pair over ``conditioning + target`` and ``_reduce`` it per
+    conditioning tuple. Yields, per chunk, the tuples seen in any of its
+    windows and the chunk's ``m_a``, ``m_b`` and ``d``. A tuple that a pair
+    counts in neither window is not seen by that pair.
 
     Consecutive pairs are taken in chunks, each counted by one
     ``window_counts`` call. With K the distinct code rows from the first
@@ -256,13 +271,29 @@ def pair_distances(dataset, pairs, conditioning, target, distance_kind):
         j = i + int(np.searchsorted(spread, reach, side="right"))
         chunk, i = bounds[i:j], j
         keys, counts = window_counts(dataset, names, chunk.reshape(-1, 2))
-        a, b = counts[0::2], counts[1::2]
-        starts, group = key_runs(keys, len(conditioning))
-        m_a, m_b = np.add.reduceat(a, starts, axis=1), np.add.reduceat(b, starts, axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            d = dist(a, b, m_a[:, group], m_b[:, group], starts)
-        d[(m_a == 0) | (m_b == 0)] = 1.0
-        yield keys[starts, :len(conditioning)], m_a, m_b, d
+        yield _reduce(keys, counts[0::2], counts[1::2], len(conditioning), dist)
+
+
+def pair_reductions(dataset, window_a: TimeInterval, window_b: TimeInterval, cells,
+                    distance_kind: str) -> list:
+    """``_reduce`` of the window pair for each ``(conditioning, target)`` of
+    ``cells``, as ``pair_distances`` gives it for that one pair, from one
+    count: ``window_counts`` counts the pair once over every attribute the
+    cells name, keeping missing codes, and ``project_counts`` reads each
+    cell's counts off it, dropping only the records missing one of the
+    cell's own attributes."""
+    dist = distance_function(distance_kind)
+    union = tuple(dict.fromkeys(name for conditioning, target in cells
+                                for name in conditioning + target))
+    ticks = [window_a.start, window_a.end, window_b.start, window_b.end]
+    bounds = np.searchsorted(dataset.timestamps, ticks, side="left").reshape(2, 2)
+    keys, counts = window_counts(dataset, union, bounds, keep_missing=True)
+    reductions = []
+    for conditioning, target in cells:
+        cell_keys, (a, b) = project_counts(keys, counts,
+                                           [union.index(n) for n in conditioning + target])
+        reductions.append(_reduce(cell_keys, a[None], b[None], len(conditioning), dist))
+    return reductions
 
 
 @dataclass(frozen=True)
@@ -298,8 +329,21 @@ class DriftColumn:
         )
 
 
-def _drift(kind, dataset, pairs, subset, distance_kind) -> DriftColumn:
-    """The ``kind`` drift over ``subset`` at each window pair of ``pairs``.
+def _reduced_over(kind, dataset, subset) -> tuple[tuple, tuple]:
+    """The ``(conditioning, target)`` whose reduction gives the ``kind``
+    drift over ``subset``, once both are checked."""
+    _check_kind(kind, subset)
+    if subset.role != MEASURE_ROLES[kind]:
+        raise MeasureError(f"{kind} drift needs a {MEASURE_ROLES[kind]} subset")
+    subset.validate_against(dataset.schema)
+    label = (dataset.schema.class_attribute,)
+    return {CONDITIONED_COVARIATE_DRIFT: (label, subset.names),
+            POSTERIOR_DRIFT: (subset.names, label)}.get(kind, ((), subset.names))
+
+
+def _magnitudes(conditional: bool, m_a, m_b, d) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A reduction's magnitudes, NaN where a window is empty, and sample
+    sizes ``n_a``, ``n_b``, one per pair.
 
     A marginal kind is the distance between the two marginals, read straight
     out of the reduction. The conditional kinds are the sum over
@@ -310,35 +354,37 @@ def _drift(kind, dataset, pairs, subset, distance_kind) -> DriftColumn:
     exactly 0.0 when every one is 0.0; it runs over each pair's own tuples,
     as a zero term would move the rounding of ``@``.
     """
-    if subset.role != MEASURE_ROLES[kind]:
-        raise MeasureError(f"{kind} drift needs a {MEASURE_ROLES[kind]} subset")
-    subset.validate_against(dataset.schema)
-    label = (dataset.schema.class_attribute,)
-    conditioning, target = {CONDITIONED_COVARIATE_DRIFT: (label, subset.names),
-                            POSTERIOR_DRIFT: (subset.names, label)}.get(kind, ((), subset.names))
-    # each starts empty, so that no pairs give empty columns
-    magnitudes, sizes_a, sizes_b = [np.zeros(0)], [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
-    for _, m_a, m_b, d in pair_distances(dataset, pairs, conditioning, target, distance_kind):
-        n_a, n_b = m_a.sum(axis=1), m_b.sum(axis=1)
-        ok = (n_a > 0) & (n_b > 0)
-        magnitude = np.full(len(ok), np.nan)
-        if not conditioning and ok.any():  # else d may have no column: nothing was counted
-            magnitude[ok] = d[ok, 0]
-        for i in np.flatnonzero(ok) if conditioning else ():
-            seen = np.flatnonzero(m_a[i] + m_b[i])
-            na, nb = int(n_a[i]), int(n_b[i])
-            magnitude[i] = min(1.0, float((m_a[i, seen] * nb + m_b[i, seen] * na)
-                                          @ d[i, seen]) / (2 * na * nb))
-        magnitudes.append(magnitude)
-        sizes_a.append(n_a)
-        sizes_b.append(n_b)
-    return DriftColumn(kind, distance_kind, subset, np.concatenate(magnitudes),
-                       np.concatenate(sizes_a), np.concatenate(sizes_b))
+    n_a, n_b = m_a.sum(axis=1), m_b.sum(axis=1)
+    ok = (n_a > 0) & (n_b > 0)
+    magnitude = np.full(len(ok), np.nan)
+    if not conditional and ok.any():  # else d may have no column: nothing was counted
+        magnitude[ok] = d[ok, 0]
+    for i in np.flatnonzero(ok) if conditional else ():
+        seen = np.flatnonzero(m_a[i] + m_b[i])
+        na, nb = int(n_a[i]), int(n_b[i])
+        magnitude[i] = min(1.0, float((m_a[i, seen] * nb + m_b[i, seen] * na)
+                                      @ d[i, seen]) / (2 * na * nb))
+    return magnitude, n_a, n_b
 
 
-def _one_pair(kind, dataset, window_a, window_b, subset, distance_kind) -> DriftMeasurement:
-    pair = [(window_a.start, window_a.end, window_b.start, window_b.end)]
-    return _drift(kind, dataset, pair, subset, distance_kind).measurement(0, window_a, window_b)
+def pair_measurements(dataset: EncodedDataset, window_a: TimeInterval, window_b: TimeInterval,
+                      requests, distance_kind: str = TOTAL_VARIATION) -> list[DriftMeasurement]:
+    """The drift between the two windows for each ``(measure_kind, subset)``
+    of ``requests``, in order, with ``compute_drift``'s checks, all read off
+    one count of the pair (``pair_reductions``)."""
+    cells = [_reduced_over(kind, dataset, subset) for kind, subset in requests]
+    measurements = []
+    for (kind, subset), (conditioning, _), (_, m_a, m_b, d) in zip(
+            requests, cells, pair_reductions(dataset, window_a, window_b, cells, distance_kind)):
+        column = DriftColumn(kind, distance_kind, subset,
+                             *_magnitudes(bool(conditioning), m_a, m_b, d))
+        measurements.append(column.measurement(0, window_a, window_b))
+    return measurements
+
+
+def marginal_kind(subset: AttributeSubset) -> str:
+    """The marginal measure kind of ``subset``'s role: a role's first kind."""
+    return next(k for k, role in MEASURE_ROLES.items() if role == subset.role)
 
 
 def marginal_drift(
@@ -349,8 +395,8 @@ def marginal_drift(
     distance_kind: str = TOTAL_VARIATION,
 ) -> DriftMeasurement:
     """Distance between the two windows' marginal estimates over ``subset``."""
-    kind = next(k for k, role in MEASURE_ROLES.items() if role == subset.role)
-    return _one_pair(kind, dataset, window_a, window_b, subset, distance_kind)
+    return compute_drift(dataset, window_a, window_b, marginal_kind(subset), subset,
+                         distance_kind)
 
 
 def conditioned_covariate_drift(
@@ -361,8 +407,8 @@ def conditioned_covariate_drift(
     distance_kind: str = TOTAL_VARIATION,
 ) -> DriftMeasurement:
     """Class-prevalence-weighted average of per-class covariate distances."""
-    return _one_pair(CONDITIONED_COVARIATE_DRIFT, dataset, window_a, window_b, subset,
-                     distance_kind)
+    return compute_drift(dataset, window_a, window_b, CONDITIONED_COVARIATE_DRIFT, subset,
+                         distance_kind)
 
 
 def posterior_drift(
@@ -373,7 +419,7 @@ def posterior_drift(
     distance_kind: str = TOTAL_VARIATION,
 ) -> DriftMeasurement:
     """Covariate-prevalence-weighted average of per-tuple class distances."""
-    return _one_pair(POSTERIOR_DRIFT, dataset, window_a, window_b, subset, distance_kind)
+    return compute_drift(dataset, window_a, window_b, POSTERIOR_DRIFT, subset, distance_kind)
 
 
 def compute_drift(
@@ -385,8 +431,9 @@ def compute_drift(
     distance_kind: str = TOTAL_VARIATION,
 ) -> DriftMeasurement:
     """The ``measure_kind`` drift over ``subset`` between the two windows."""
-    _check_kind(measure_kind, subset)
-    return _one_pair(measure_kind, dataset, window_a, window_b, subset, distance_kind)
+    [measurement] = pair_measurements(dataset, window_a, window_b, [(measure_kind, subset)],
+                                      distance_kind)
+    return measurement
 
 
 def drift_measurements(dataset: EncodedDataset, pairs, measure_kind: str,
@@ -395,8 +442,16 @@ def drift_measurements(dataset: EncodedDataset, pairs, measure_kind: str,
     """The ``measure_kind`` drift at every window pair of ``pairs`` (rows of
     ``(a_start, a_end, b_start, b_end)`` ticks), in order, from one
     ``pair_distances`` call, with ``compute_drift``'s checks."""
-    _check_kind(measure_kind, subset)
-    return _drift(measure_kind, dataset, pairs, subset, distance_kind)
+    conditioning, target = _reduced_over(measure_kind, dataset, subset)
+    # each starts empty, so that no pairs give empty columns
+    magnitudes, sizes_a, sizes_b = [np.zeros(0)], [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
+    for _, m_a, m_b, d in pair_distances(dataset, pairs, conditioning, target, distance_kind):
+        magnitude, n_a, n_b = _magnitudes(bool(conditioning), m_a, m_b, d)
+        magnitudes.append(magnitude)
+        sizes_a.append(n_a)
+        sizes_b.append(n_b)
+    return DriftColumn(measure_kind, distance_kind, subset, np.concatenate(magnitudes),
+                       np.concatenate(sizes_a), np.concatenate(sizes_b))
 
 
 def _check_kind(measure_kind: str, subset: AttributeSubset) -> None:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .discretize import EncodedDataset
-from .estimate import AttributeSubset, TimeInterval
+from .estimate import AttributeSubset, TimeInterval, fits_int64
 from .measures import (
     MEASUREMENT_FIELDS,
     STATUS_INSUFFICIENT,
@@ -73,6 +73,9 @@ class SweepSpec:
             raise SweepError("compute_step must be positive")
         if self.span <= 0:
             raise SweepError("span must be positive")
+        for name in ("compute_step", "span"):
+            if not fits_int64(getattr(self, name)):
+                raise SweepError(f"{name} {getattr(self, name)} is outside the int64 range")
         if self.alignment not in (ADJACENT, CONSECUTIVE):
             raise SweepError(f"unknown alignment {self.alignment!r}")
         if not self.measures:
@@ -186,7 +189,9 @@ def drift_series(dataset: EncodedDataset, spec: SweepSpec) -> DriftSeries:
         # the first window starts at the first tick; the second ends just past the last
         first = int(dataset.timestamps[0]) + spec.span + spec.offset
         last = int(dataset.timestamps[-1]) + 1 - spec.span + spec.offset
-        times = np.arange(first, last + 1, spec.compute_step, dtype=np.int64)
+        # past an int64 only when no pair fits: then numpy is given no tick
+        times = (np.arange(first, last + 1, spec.compute_step, dtype=np.int64) if first <= last
+                 else np.zeros(0, dtype=np.int64))
         status = STATUS_OK if len(times) else "dataset shorter than one window pair"
     pairs = spec.pair_ticks(times)
     return DriftSeries(spec=spec, times=times, status=status, columns={

@@ -461,6 +461,43 @@ def test_bad_window_fails_before_the_data_is_read(workspace, capsys, monkeypatch
     assert capsys.readouterr().err == f"driftmap: error: {message}\n"
 
 
+BEYOND_INT64 = "99999999999999999999"
+
+
+@pytest.mark.parametrize("command, analysis, message", [
+    (["measure", "--window-a", f"0:{BEYOND_INT64}", "--window-b", "0:10"], "",
+     f"--window-a: tick {BEYOND_INT64} is outside the int64 range"),
+    (["measure", "--window-a", "0:10", f"--window-b=-{BEYOND_INT64}:10"], "",
+     f"--window-b: tick -{BEYOND_INT64} is outside the int64 range"),
+    (["map", "--kind", "posterior-pairwise", "--window-a", "0:10",
+      "--window-b", f"10:{2 ** 63}"], "",
+     f"--window-b: tick {2 ** 63} is outside the int64 range"),
+    (["series", "--span", BEYOND_INT64], "",
+     f"--span: '{BEYOND_INT64}' exceeds the int64 tick range"),
+    (["series", "--step", f"{BEYOND_INT64}w"], "",
+     f"--step: '{BEYOND_INT64}w' exceeds the int64 tick range"),
+    (["series"], f"analysis: {{span: {BEYOND_INT64}}}\n",
+     f"analysis.span: '{BEYOND_INT64}' exceeds the int64 tick range"),
+    (["series", "--span", "1"], f"analysis: {{step: {2 ** 63}}}\n",
+     f"analysis.step: '{2 ** 63}' exceeds the int64 tick range"),
+], ids=["measure-window-a", "measure-window-b", "map-window-b", "series-span", "series-step",
+        "config-span", "config-step"])
+def test_a_tick_past_int64_fails_naming_its_flag_before_the_data_is_read(
+        workspace, capsys, monkeypatch, command, analysis, message):
+    (workspace / "config.yaml").write_text(CONFIG + analysis)
+    monkeypatch.setattr("driftmap.cli.ingest_records", None)  # reading would fail
+    assert run_cli([command[0], *base_args(workspace), *command[1:]]) == 1
+    assert capsys.readouterr().err == f"driftmap: error: {message}\n"
+
+
+def test_the_longest_int64_span_gives_an_empty_series(workspace, capsys):
+    for alignment in ("adjacent-before-after", "consecutive"):
+        assert run_cli(["series", *base_args(workspace), "--span", str(2 ** 63 - 1),
+                        "--alignment", alignment]) == 0
+        path = next(p for p in capsys.readouterr().out.split() if p.endswith(".json"))
+        assert json.loads(Path(path).read_text())["points"] == []
+
+
 def test_series_rejects_a_non_integer_marker(workspace, capsys):
     with pytest.raises(SystemExit) as exit_info:
         run_cli(["series", *base_args(workspace), "--marker", "x"])

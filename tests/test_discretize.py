@@ -1,12 +1,16 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from driftmap.cli import run_cli
 from driftmap.discretize import (
     MISSING_CODE,
     DiscretizationError,
     Discretizer,
+    _equal_frequency_cuts,
     apply_discretizer,
     fit_discretizer,
 )
@@ -217,3 +221,69 @@ def test_dataset_arrays_are_read_only():
             array[0] = 0
     assert raw.column("x") == [1.0, None, 3.0]
     assert encoded.timestamps.tolist() == [0, 1, 2]
+
+
+def _scanned_cuts(values, bin_count):
+    """The cut search as a plain scan: the sorted values' runs of equal
+    values and, per ideal rank split, the run end nearest to it (the first,
+    so the lower, on a tie); the cut is the first value of the run below."""
+    ordered = np.sort(np.asarray(values, dtype=float)).tolist()
+    firsts = [i for i in range(len(ordered)) if i == 0 or ordered[i] != ordered[i - 1]]
+    ends = firsts[1:]
+    if not ends:
+        return ()
+    cuts = []
+    for i in range(1, bin_count):
+        ideal = i * len(ordered) / bin_count
+        best = min(range(len(ends)), key=lambda k: abs(ends[k] - ideal))
+        if ordered[firsts[best]] not in cuts:
+            cuts.append(ordered[firsts[best]])
+    return tuple(sorted(cuts))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.sampled_from([-2.5, -1.0, -0.0, 0.0, 0.5, 3.0, 1e300]), min_size=1,
+                max_size=60), st.integers(2, 12), st.integers(0, 400))
+def test_equal_frequency_cuts_match_a_plain_scan(values, bin_count, tie_length):
+    """Long ties, one distinct value and runs mixing -0.0 and 0.0, whose cut
+    keeps the sign of the run's first element: compared as ``float.hex``."""
+    values = values + [values[0]] * tie_length
+    got = _equal_frequency_cuts(np.asarray(values), bin_count)
+    assert [c.hex() for c in got] == [c.hex() for c in _scanned_cuts(values, bin_count)]
+    assert all(type(c) is float for c in got)
+
+
+def test_equal_frequency_cuts_of_one_distinct_value():
+    for values in ([4.0], [0.0, -0.0, 0.0] * 5):
+        assert _equal_frequency_cuts(np.asarray(values), 7) == ()
+
+
+def test_apply_puts_nan_in_the_missing_code_and_a_cut_value_in_the_lower_bin():
+    d = fit_discretizer(make_raw([1, 2, 3, 4, 5, 6]), bin_count=3)
+    assert d.cut_points["x"] == (2.0, 4.0)
+    raw = make_raw([None, 2, 4, 1.9999999, 2.0000001, 4.0000001, -7, 9, None, -0.0])
+    codes = apply_discretizer(raw, d).codes[:, 0].tolist()
+    assert codes == [MISSING_CODE, 0, 1, 0, 1, 2, 0, 2, MISSING_CODE, 0]
+
+
+def test_encode_writes_the_sidecar_of_the_scanned_cuts(tmp_path, capsys):
+    """The sidecar ``encode`` writes, byte for byte, for data with ties,
+    signed zeros and missing cells."""
+    rng = np.random.default_rng(8)
+    xs = rng.choice([-1.5, -0.0, 0.0, 0.0, 2.0, 7.25], size=300).tolist()
+    lines = ["x,y"] + [f"{'' if i % 17 == 0 else x},{'ab'[i % 3 == 0]}" for i, x in
+                       enumerate(xs)]
+    (tmp_path / "data.csv").write_text("\n".join(lines) + "\n")
+    (tmp_path / "config.yaml").write_text(
+        "attributes:\n  - {name: x, kind: numeric}\n  - {name: y, kind: categorical}\n"
+        "class: y\ntimestamp:\n  source: record-index\n")
+    for bins in (2, 3, 5, 12):
+        assert run_cli(["encode", "--config", str(tmp_path / "config.yaml"),
+                        "--data", str(tmp_path / "data.csv"), "--bins", str(bins),
+                        "--out", str(tmp_path / "out")]) == 0
+        sidecar = next(p for p in capsys.readouterr().out.split() if "discretizer_" in p)
+        observed = [x for i, x in enumerate(xs) if i % 17]
+        want = Discretizer(schema=None, bin_count=bins,
+                           cut_points={"x": _scanned_cuts(observed, bins)},
+                           label_codes={"y": {"b": 0, "a": 1}})
+        assert Path(sidecar).read_text() == want.to_json() + "\n"

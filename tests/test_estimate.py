@@ -18,6 +18,13 @@ def test_interval_must_be_nonempty():
         TimeInterval(5, 5)
 
 
+def test_interval_ticks_fit_an_int64():
+    assert TimeInterval(-2 ** 63, 2 ** 63 - 1).end == 2 ** 63 - 1
+    for start, end in ((0, 2 ** 63), (-2 ** 63 - 1, 0)):
+        with pytest.raises(EstimationError, match=r"^tick -?\d+ is outside the int64 range$"):
+            TimeInterval(start, end)
+
+
 def test_select_window_full_span():
     ds = build_encoded([[0, 0], [1, 0], [0, 1]], [2, 2])
     w = select_window(ds, TimeInterval(0, 3))

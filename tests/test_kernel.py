@@ -282,14 +282,20 @@ def _chunks(dataset, spec):
 
 
 @pytest.fixture(scope="module")
-def bench_stream():
-    """The benchmark's electricity-shaped stream (seed 1), encoded: 45,312
-    half-hour records, five covariates in five bins and a two-label class."""
+def bench_raw():
+    """The benchmark's electricity-shaped stream (seed 1), read: 45,312
+    half-hour records, five numeric covariates and a two-label class."""
     path = Path(__file__).resolve().parent.parent / "perfbench" / "stream.py"
     stream = types.ModuleType("stream")
     # compiled here, so that no bytecode is written under perfbench/
     exec(compile(path.read_text(), str(path), "exec"), stream.__dict__)
-    raw = ingest_records(stream.generate_csv(1), "csv", parse_schema(stream.CONFIG_YAML))
+    return ingest_records(stream.generate_csv(1), "csv", parse_schema(stream.CONFIG_YAML)), stream
+
+
+@pytest.fixture(scope="module")
+def bench_stream(bench_raw):
+    """The benchmark's stream encoded as the benchmark does: five bins."""
+    raw, stream = bench_raw
     return apply_discretizer(raw, fit_discretizer(raw, 5)), stream
 
 
@@ -314,6 +320,28 @@ def test_a_one_attribute_sweep_takes_as_many_chunks_at_30_as_at_365_days(bench_s
     counts = [len(_chunks(dataset, _daily_sweep(stream, days, "covariate", ["nswprice"])))
               for days in (30, 365)]
     assert counts[0] == counts[1]
+
+
+def test_a_sweep_past_chunk_cells_keys_packs_the_pairs_its_rows_allow(bench_raw):
+    """At 12 bins the five covariates' key space (12 * 12 * 9 * 9 * 9 keys)
+    passes ``CHUNK_CELLS``, but the stream holds about 13,500 distinct rows:
+    a 30-day daily sweep takes ``CHUNK_CELLS // rows`` pairs a chunk, not
+    one, and every sampled point stays bit-identical to ``compute_drift``."""
+    raw, stream = bench_raw
+    dataset = apply_discretizer(raw, fit_discretizer(raw, 12))
+    cols = dataset.column_indices(stream.COVARIATES)
+    assert math.prod(dataset.cardinalities[c] for c in cols) > measures.CHUNK_CELLS
+    rows = len(np.unique(dataset.codes[:, cols], axis=0))
+    spec = _daily_sweep(stream, 30, "covariate", stream.COVARIATES)
+    chunks = _chunks(dataset, spec)
+    points = sum(len(bounds) for bounds, _ in chunks)
+    assert len(chunks) == math.ceil(points / (measures.CHUNK_CELLS // rows)) < points / 3
+    [mspec] = spec.measures
+    points = drift_series(dataset, spec).points
+    for point in (points[i] for i in (0, 331, 500, len(points) - 1)):
+        got = point.results[mspec.key]
+        want = compute_drift(dataset, *spec.windows_at(point.time), "covariate", mspec.subset)
+        assert (repr(got.magnitude), got) == (repr(want.magnitude), want)
 
 
 @st.composite

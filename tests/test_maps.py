@@ -312,10 +312,10 @@ def test_every_builder_rejects_an_empty_attribute_list(build, shape):
 ], ids=["repeated", "unknown"])
 def test_every_builder_rejects_repeated_or_unknown_names_before_counting(
         build, attributes, message, monkeypatch):
-    # every map cell is counted through pair_distances, which would fail
+    # every map is counted through pair_reductions, which would fail
     ds = build_encoded([[0, 0, 0], [1, 1, 1]] * 2, [2, 2, 2])
-    monkeypatch.setattr("driftmap.measures.pair_distances", None)
-    monkeypatch.setattr("driftmap.maps.pair_distances", None)
+    monkeypatch.setattr("driftmap.measures.pair_reductions", None)
+    monkeypatch.setattr("driftmap.maps.pair_reductions", None)
     with pytest.raises(EstimationError, match=re.escape(message)):
         build(ds, *two_windows(2), attributes)
 

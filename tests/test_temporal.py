@@ -40,6 +40,15 @@ def test_spec_validation():
         SweepSpec(compute_step=1, span=1, measures=ms + ms)
 
 
+def test_spec_steps_and_spans_fit_an_int64():
+    ms = (MeasureSpec("covariate", AttributeSubset.covariates(["a0"])),)
+    SweepSpec(compute_step=2 ** 63 - 1, span=2 ** 63 - 1, measures=ms)
+    with pytest.raises(SweepError, match=f"^compute_step {2 ** 63} is outside the int64 range$"):
+        SweepSpec(compute_step=2 ** 63, span=1, measures=ms)
+    with pytest.raises(SweepError, match=f"^span {2 ** 64} is outside the int64 range$"):
+        SweepSpec(compute_step=1, span=2 ** 64, measures=ms)
+
+
 def test_adjacent_windows():
     spec = covariate_spec(span=5)
     a, b = spec.windows_at(20)
