@@ -4,8 +4,8 @@ For a fixed window pair: pairwise joint drift (diagonal = univariate),
 per-class conditioned covariate drift (univariate and pairwise), and
 posterior drift conditioned on attribute pairs. Pairwise grids are
 symmetric; all but the posterior ones obey the dimensionality monotonicity
-bound: an off-diagonal cell is never below either of its diagonal cells
-(within tolerance).
+bound: an off-diagonal cell that counts the same records as a diagonal cell
+is never below it (within tolerance).
 """
 
 from __future__ import annotations
@@ -56,6 +56,7 @@ class HeatMapGrid:
     window_b: TimeInterval
     distance_kind: str = TOTAL_VARIATION
     class_label: str | None = None  # set for per-class conditioned grids
+    sample_sizes: tuple | None = field(default=None, repr=False)  # each cell's (n_a, n_b)
 
     def cell(self, i: int, j: int) -> float | None:
         return self.values[i][j]
@@ -66,7 +67,9 @@ class HeatMapGrid:
 
     def validate(self) -> None:
         """Assert symmetry and, for every pairwise kind but the posterior one,
-        the diagonal monotonicity bound. Called by every builder."""
+        the diagonal monotonicity bound. A pair cell drops the records missing
+        either attribute, so only a diagonal cell with the same (or unknown)
+        sample sizes bounds it. Called by every builder."""
         if not self.is_pairwise:
             return
         n = len(self.row_labels)
@@ -78,16 +81,17 @@ class HeatMapGrid:
                     raise GridError(f"asymmetric cells at ({i},{j})")
         if self.map_kind == POSTERIOR_PAIRWISE:
             return  # conditioning, not conditioned, dimensionality grows
+        sizes = self.sample_sizes
         for i in range(n):
             for j in range(n):
                 v = self.values[i][j]
                 if v is None or i == j:
                     continue
-                for d in (self.values[i][i], self.values[j][j]):
-                    if d is not None and v < d - MONOTONICITY_TOL:
-                        raise GridError(
-                            f"monotonicity violated at ({i},{j}): {v} < diagonal {d}"
-                        )
+                for k in (i, j):
+                    d = self.values[k][k]
+                    if (d is not None and v < d - MONOTONICITY_TOL
+                            and (sizes is None or sizes[i][j] == sizes[k][k])):
+                        raise GridError(f"monotonicity violated at ({i},{j}): {v} < diagonal {d}")
 
     def to_rows(self) -> list[dict]:
         """One row per cell, row by row, keyed in ``MAP_FIELDS`` order."""
@@ -150,24 +154,18 @@ def _pairwise_cells(attributes: tuple[str, ...], cells_fn) -> list[list]:
 
 
 def _drifts(dataset, window_a, window_b, requests, distance_kind) -> list:
-    """The magnitude of each ``(measure_kind, subset)`` of ``requests``, all
-    read off one count of the window pair."""
-    return [m.magnitude for m in pair_measurements(dataset, window_a, window_b, list(requests),
-                                                   distance_kind)]
+    """The magnitude and sample sizes of each ``(measure_kind, subset)`` of
+    ``requests``, all read off one count of the window pair."""
+    return [(m.magnitude, m.sample_sizes) for m in pair_measurements(
+        dataset, window_a, window_b, list(requests), distance_kind)]
 
 
 def _grid(map_kind, rows, cols, cells, window_a, window_b, distance_kind,
           class_label=None) -> HeatMapGrid:
-    grid = HeatMapGrid(
-        map_kind=map_kind,
-        row_labels=rows,
-        col_labels=cols,
-        values=tuple(tuple(r) for r in cells),
-        window_a=window_a,
-        window_b=window_b,
-        distance_kind=distance_kind,
-        class_label=class_label,
-    )
+    """The checked grid of ``cells``, rows of ``(magnitude, sample sizes)``."""
+    values, sizes = (tuple(tuple(cell[part] for cell in row) for row in cells) for part in (0, 1))
+    grid = HeatMapGrid(map_kind, rows, cols, values, window_a, window_b, distance_kind,
+                       class_label, sizes)
     grid.validate()
     return grid
 
@@ -203,8 +201,8 @@ def _class_labels(dataset: EncodedDataset) -> tuple[str, ...]:
 
 def _per_class_distances(dataset, window_a, window_b, name_lists, distance_kind) -> list:
     """For each of ``name_lists``, the inner (unweighted) distance of the
-    conditionals over its names for each class code, all read off one count
-    of the window pair.
+    conditionals over its names for each class code, with the class's
+    sample sizes, all read off one count of the window pair.
 
     One-sided support maps to 1.0; a class absent from both windows is an
     insufficient-data cell (None).
@@ -214,8 +212,9 @@ def _per_class_distances(dataset, window_a, window_b, name_lists, distance_kind)
     reductions = pair_reductions(dataset, window_a, window_b,
                                  [(label, names) for names in name_lists], distance_kind)
     # one pair: every tuple of a reduction is seen in one of its two windows
-    found = [dict(zip(classes[:, 0].tolist(), d.tolist())) for classes, _, _, (d,) in reductions]
-    return [[cell.get(code) for code in codes] for cell in found]
+    found = [dict(zip(classes[:, 0].tolist(), zip(d.tolist(), zip(a.tolist(), b.tolist()))))
+             for classes, (a,), (b,), (d,) in reductions]
+    return [[cell.get(code, (None, (0, 0))) for code in codes] for cell in found]
 
 
 def conditioned_univariate_map(

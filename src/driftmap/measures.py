@@ -8,7 +8,10 @@ tuple probability). ``_reduce`` is the one window-pair reduction and
 ``_magnitudes`` the one step from it to a magnitude. A sweep feeds them
 chunks of its pairs counted together (``pair_distances``); one window pair
 is counted once over every attribute its measures or map cells name, and
-each of them is projected out of that count (``pair_reductions``).
+each of them is projected out of that count (``pair_reductions``). Every
+float sum runs strictly left to right (``np.cumsum``, ``_ordered_sums``), so a
+zero term, such as a key or tuple of the chunk that a pair never counts,
+changes no bit.
 """
 
 from __future__ import annotations
@@ -161,25 +164,38 @@ def _grouped_tvd(a, b, ra, rb, starts) -> np.ndarray:
     return np.minimum(1.0, num / (2 * ra[..., starts] * rb[..., starts]))
 
 
+def _ordered_sums(terms, starts) -> np.ndarray:
+    """Per row of ``terms`` and run of its columns (``starts``: each run's
+    first column), the run's terms summed strictly left to right, so a zero
+    term is an exact no-op. Slab i of a zero-padded array holds each run's
+    i-th term and ``np.add.accumulate`` adds the slabs in order, a block of
+    rows at a time, so the array stays within ``CHUNK_CELLS`` cells."""
+    rows, width = terms.shape
+    lengths = np.diff(starts, append=width)
+    places = np.arange(lengths.max(initial=0))[:, None]
+    past, at = places >= lengths, np.minimum(np.add(starts, places), width - 1)
+    sums = np.zeros((rows, len(lengths)))
+    if not at.size:  # every run is empty
+        return sums
+    step = max(1, CHUNK_CELLS // at.size)
+    for lo in range(0, rows, step):
+        padded = terms[lo:lo + step].T[at]
+        padded[past] = 0.0
+        sums[lo:lo + step] = np.add.accumulate(padded, out=padded)[-1].T
+    return sums
+
+
 def _grouped_hellinger(a, b, ra, rb, starts) -> np.ndarray:
     """Per row and group of keys, the Hellinger distance between a/ra and b/rb.
 
     Computed as sqrt(0.5 * sum((sqrt p - sqrt q)^2)) rather than the
     algebraically equal sqrt(1 - sum(sqrt(p*q))): the latter amplifies
-    rounding near zero (sqrt of a ~1e-16 residual is ~1e-8). A row with
-    keys that neither window counts sums over its other keys only: a zero
-    term would move numpy's pairwise summation, and so the rounding, away
-    from that of the row's own keys.
+    rounding near zero (sqrt of a ~1e-16 residual is ~1e-8). A key that
+    neither window counts adds an exact 0 to its group's ``_ordered_sums``,
+    so whole rows are summed at once.
     """
-    sq = (np.sqrt(a / ra) - np.sqrt(b / rb)) ** 2
-    sums = np.add.reduceat(sq, starts, axis=-1)
-    for i in np.flatnonzero(~(a + b).all(axis=-1)):
-        keys = np.flatnonzero(a[i] + b[i])
-        edge = np.searchsorted(keys, starts)  # each group's first key in ``keys``
-        kept = np.flatnonzero(np.diff(edge, append=len(keys)))
-        sums[i] = 0.0
-        sums[i, kept] = np.add.reduceat(sq[i, keys], edge[kept])
-    return np.minimum(1.0, np.sqrt(0.5 * sums))
+    return np.minimum(1.0, np.sqrt(0.5 * _ordered_sums((np.sqrt(a / ra) - np.sqrt(b / rb)) ** 2,
+                                                       starts)))
 
 
 _DISTANCES = {TOTAL_VARIATION: _grouped_tvd, HELLINGER: _grouped_hellinger}
@@ -332,13 +348,16 @@ class DriftColumn:
 def _reduced_over(kind, dataset, subset) -> tuple[tuple, tuple]:
     """The ``(conditioning, target)`` whose reduction gives the ``kind``
     drift over ``subset``, once both are checked."""
-    _check_kind(kind, subset)
-    if subset.role != MEASURE_ROLES[kind]:
-        raise MeasureError(f"{kind} drift needs a {MEASURE_ROLES[kind]} subset")
-    subset.validate_against(dataset.schema)
+    if kind not in MEASURE_ROLES:
+        raise MeasureError(f"unknown measure kind {kind!r}")
     label = (dataset.schema.class_attribute,)
-    return {CONDITIONED_COVARIATE_DRIFT: (label, subset.names),
-            POSTERIOR_DRIFT: (subset.names, label)}.get(kind, ((), subset.names))
+    reduced = {CONDITIONED_COVARIATE_DRIFT: (label, subset.names),
+               POSTERIOR_DRIFT: (subset.names, label)}.get(kind, ((), subset.names))
+    if subset.role != MEASURE_ROLES[kind]:
+        raise MeasureError(f"{kind} drift needs a {MEASURE_ROLES[kind]} subset" if reduced[0] else
+                           f"measure kind {kind!r} does not match subset role {subset.role!r}")
+    subset.validate_against(dataset.schema)
+    return reduced
 
 
 def _magnitudes(conditional: bool, m_a, m_b, d) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -349,21 +368,20 @@ def _magnitudes(conditional: bool, m_a, m_b, d) -> tuple[np.ndarray, np.ndarray,
     out of the reduction. The conditional kinds are the sum over
     conditioning tuples observed in either window of 0.5 * (m_a/n_a +
     m_b/n_b) * inner distance, clamped at 1.0 like Hellinger, so rounding
-    never lifts a magnitude above 1. The weights are summed over integer
-    counts, so the sum is exactly 1.0 when every inner distance is 1.0 and
-    exactly 0.0 when every one is 0.0; it runs over each pair's own tuples,
-    as a zero term would move the rounding of ``@``.
+    never lifts a magnitude above 1. Each pair's terms are summed strictly
+    left to right (``np.cumsum``) over all the chunk's tuples: one the pair
+    does not see weighs 0 (at distance 1.0, ``_reduce``'s), an exact no-op.
+    The weights are integers, so the sum is exactly 1.0 when every inner
+    distance is 1.0 and exactly 0.0 when every one is 0.0.
     """
     n_a, n_b = m_a.sum(axis=1), m_b.sum(axis=1)
     ok = (n_a > 0) & (n_b > 0)
     magnitude = np.full(len(ok), np.nan)
-    if not conditional and ok.any():  # else d may have no column: nothing was counted
+    if conditional and ok.any():  # else d may have no column: nothing was counted
+        weighted = np.cumsum((m_a * n_b[:, None] + m_b * n_a[:, None]) * d, axis=1)[:, -1]
+        magnitude[ok] = np.minimum(1.0, weighted[ok] / (2 * n_a[ok] * n_b[ok]))
+    elif ok.any():
         magnitude[ok] = d[ok, 0]
-    for i in np.flatnonzero(ok) if conditional else ():
-        seen = np.flatnonzero(m_a[i] + m_b[i])
-        na, nb = int(n_a[i]), int(n_b[i])
-        magnitude[i] = min(1.0, float((m_a[i, seen] * nb + m_b[i, seen] * na)
-                                      @ d[i, seen]) / (2 * na * nb))
     return magnitude, n_a, n_b
 
 
@@ -452,13 +470,3 @@ def drift_measurements(dataset: EncodedDataset, pairs, measure_kind: str,
         sizes_b.append(n_b)
     return DriftColumn(measure_kind, distance_kind, subset, np.concatenate(magnitudes),
                        np.concatenate(sizes_a), np.concatenate(sizes_b))
-
-
-def _check_kind(measure_kind: str, subset: AttributeSubset) -> None:
-    """A known measure kind; a marginal one must agree with the subset role."""
-    if measure_kind not in MEASURE_ROLES:
-        raise MeasureError(f"unknown measure kind {measure_kind!r}")
-    if (measure_kind not in (CONDITIONED_COVARIATE_DRIFT, POSTERIOR_DRIFT)
-            and MEASURE_ROLES[measure_kind] != subset.role):
-        raise MeasureError(f"measure kind {measure_kind!r} does not match subset role "
-                           f"{subset.role!r}")

@@ -122,6 +122,24 @@ def test_map_pairwise_joint_against_oracle(workspace, capsys):
     assert cells[("x1", "x2")] == pytest.approx(want, abs=1e-9)
 
 
+def test_map_pairwise_joint_with_missing_cells_may_fall_below_its_diagonal(workspace, capsys):
+    """A pair cell drops the records missing either attribute, so it need not
+    dominate a diagonal cell that counts more records: the map is written."""
+    lines = (workspace / "data.csv").read_text().splitlines()
+    for i, line in enumerate(lines[201:], 201):  # x2 missing where x1 moved most
+        x1, x2, x3, label = line.split(",")
+        if float(x1) > 1.5:
+            lines[i] = ",".join((x1, "?", x3, label))
+    (workspace / "data.csv").write_text("\n".join(lines) + "\n")
+    rc = run_cli(["map", *base_args(workspace), "--kind", "pairwise-joint",
+                  "--window-a", "0:200", "--window-b", "200:400", "--format-out", "json"])
+    assert rc == 0
+    [path] = capsys.readouterr().out.splitlines()
+    cells = {(c["row"], c["column"]): c["magnitude"]
+             for c in json.loads(Path(path).read_text())["cells"]}
+    assert cells[("x1", "x2")] < cells[("x1", "x1")]
+
+
 def test_map_conditioned_pairwise_emits_one_grid_per_class(workspace, capsys):
     rc = run_cli(["map", *base_args(workspace),
                   "--kind", "conditioned-pairwise",

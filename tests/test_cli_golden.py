@@ -130,9 +130,9 @@ DIGESTS = {
     },
     'measure-hellinger': {
         'measure_475e57d5abeb.csv':
-            '508b9206067197f0a3d8d1cdd7b7d4b2f6523083efb2eac5e69199e5f6b217b4',
+            '95277b2b28f26d0f9fd613bee6bfd6daff97981c74addf0860e401f3828db4de',
         'measure_475e57d5abeb.json':
-            '57c0c8d30991682e5183efb413ea18adfe5b3d721598e76fc78d61b2f5ef9f71',
+            'f96c33ae33ba5c22403aa9572a8da56bcdf8a0b4c389095f61e092a56ef25c6c',
     },
     'measure-tvd': {
         'measure_a0ce768a7c5f.csv':
@@ -142,17 +142,17 @@ DIGESTS = {
     },
     'series': {
         'series_ff2daf911c71.csv':
-            '59e43d7c43fc6c54c4aa82005739c8cbcc315c5817ba31520f274dab3983a0a1',
+            '4bf98b6d75a4733ec4357d03e456f7af01862c8a0f13126fad831b22d9bf11c0',
         'series_ff2daf911c71.json':
-            '6b9467d4a42928dc99c77be5f8887091b21a6cdf4caa9975375307242fa5c27c',
+            'f7c7a39db69aeec8763b0ccdfdaef6f5d8bc7aad9685c00ba85f1a973733655d',
         'series_ff2daf911c71.svg':
-            '7afa301676845af84818353d754edb5bef46d50cfd5483fe5f455d13302b505e',
+            'fa2113915ac2879e86a86636a092c35ea33b8ad8ee7568a78c105ab18cc80977',
     },
     'series-hellinger-consecutive': {
         'series_9c8a2712f7fb.csv':
-            'c68131a438217598b65160cd30d188ab55c2541c3e5c9729e707e46a9a1bcf03',
+            '69dadfb74ef918c5a2c52ab74dde9d8d457c6e87ea504f3749354e3ffe46fc24',
         'series_9c8a2712f7fb.json':
-            '46821eb7fefc6876617d5d94e78d6595387d91f40909a035950a414d24b4dfab',
+            'a8e9b716f2623acb757cd7f7efb1b5a6d6612c9f5f4ecbe03251c3d47fd751f5',
         'series_9c8a2712f7fb.svg':
             '2e626e86ff9cba0f9954cf9b3fd9a4af333e00aa08fb91c5e2ac1ff54f054295',
     },

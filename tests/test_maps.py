@@ -270,6 +270,24 @@ def test_monotonicity_is_enforced_by_map_kind(map_kind, enforced):
         grid.validate()
 
 
+@pytest.mark.parametrize("pair_sizes, raises", [((10, 10), True), ((10, 8), False)])
+def test_monotonicity_is_checked_where_the_cells_count_the_same_records(pair_sizes, raises):
+    """The off-diagonal cell below the 0.5 diagonal fails when it counts the
+    records its diagonal counts, and not when it counts fewer."""
+    grid = HeatMapGrid(
+        map_kind="pairwise_joint",
+        row_labels=("a", "b"), col_labels=("a", "b"),
+        values=((0.5, 0.2), (0.2, 0.1)),
+        window_a=TimeInterval(0, 1), window_b=TimeInterval(1, 2),
+        sample_sizes=(((10, 10), pair_sizes), (pair_sizes, pair_sizes)),
+    )
+    if raises:
+        with pytest.raises(GridError, match=r"monotonicity violated at \(0,1\)"):
+            grid.validate()
+    else:
+        grid.validate()
+
+
 def test_pairwise_joint_map_needs_an_attribute():
     ds = build_encoded([[0, 0], [1, 1]] * 2, [2, 2])
     with pytest.raises(GridError) as info:

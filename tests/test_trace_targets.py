@@ -84,3 +84,23 @@ def test_tables_have_one_writer():
             if name in ("DictWriter", "writerows"):
                 strays.append(f"{path.name}:{node.lineno}: {name}")
     assert strays == []
+
+
+# numpy's matrix products hand a sum to the BLAS kernel, whose summation order
+# depends on the CPU
+MATRIX_PRODUCTS = {"dot", "vdot", "inner", "matmul", "einsum", "tensordot"}
+
+
+def test_measures_make_no_matrix_product():
+    """Every float sum in ``measures.py`` runs strictly left to right, so
+    recorded digests do not depend on the CPU; an ``@`` or a numpy matrix
+    product there fails here."""
+    path = ROOT / "src" / "driftmap" / "measures.py"
+    strays = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        name = getattr(node, "id", None) or getattr(node, "attr", None)
+        if isinstance(node, ast.alias):
+            name = node.name
+        if isinstance(getattr(node, "op", None), ast.MatMult) or name in MATRIX_PRODUCTS:
+            strays.append(f"{path.name}:{node.lineno}: {name or '@'}")
+    assert strays == []

@@ -124,14 +124,21 @@ def _build(builder, *args, **kwargs):
     return grids if isinstance(grids, list) else [grids]
 
 
+def _grid_of(map_kind, rows, cols, cells, window_a, window_b, distance, class_label=None):
+    """The grid of ``cells``, rows of ``(magnitude, sample sizes)``, unchecked."""
+    return HeatMapGrid(map_kind, rows, cols, tuple(tuple(v for v, _ in r) for r in cells),
+                       window_a, window_b, distance, class_label,
+                       tuple(tuple(n for _, n in r) for r in cells))
+
+
 def _reference(map_kind, names, cells, window_a, window_b, distance, class_label=None):
-    """The grid the per-cell ``cells`` give, or the message its check raises."""
+    """The grid the per-cell ``cells``, each ``(magnitude, sample sizes)``,
+    give, or the message its check raises."""
     n = len(names)
-    values = [[None] * n for _ in range(n)]
-    for (i, j, _), value in zip(_pairs(names), cells):
-        values[i][j] = values[j][i] = value
-    grid = HeatMapGrid(map_kind, names, names, tuple(map(tuple, values)), window_a, window_b,
-                       distance, class_label)
+    grid = [[None] * n for _ in range(n)]
+    for (i, j, _), cell in zip(_pairs(names), cells):
+        grid[i][j] = grid[j][i] = cell
+    grid = _grid_of(map_kind, names, names, grid, window_a, window_b, distance, class_label)
     try:
         grid.validate()
     except GridError as exc:
@@ -141,11 +148,12 @@ def _reference(map_kind, names, cells, window_a, window_b, distance, class_label
 
 def _per_class(dataset, window_a, window_b, names, distance):
     """One cell of a conditioned map counted alone: each class code's inner
-    distance, through the sweep's reduction of one pair."""
-    [(classes, _, _, (d,))] = pair_distances(dataset, _pair(window_a, window_b), ("label",),
-                                             names, distance)
-    found = dict(zip(classes[:, 0].tolist(), d.tolist()))
-    return [found.get(code) for code in range(len(dataset.discretizer.labels_for("label")))]
+    distance and sample sizes, through the sweep's reduction of one pair."""
+    [(classes, (a,), (b,), (d,))] = pair_distances(dataset, _pair(window_a, window_b),
+                                                   ("label",), names, distance)
+    found = dict(zip(classes[:, 0].tolist(), zip(d.tolist(), zip(a.tolist(), b.tolist()))))
+    return [found.get(code, (None, (0, 0)))
+            for code in range(len(dataset.discretizer.labels_for("label")))]
 
 
 def _rows(dataset, window, cols):
@@ -166,6 +174,7 @@ def _assert_grids(got, want):
         assert (g.map_kind, g.row_labels, g.col_labels, g.class_label) == \
             (w.map_kind, w.row_labels, w.col_labels, w.class_label)
         assert _same(g.values, w.values), (g.values, w.values)
+        assert g.sample_sizes == w.sample_sizes
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -189,7 +198,7 @@ def test_every_map_cell_equals_its_own_count(case):
                 if rows_a and rows_b:
                     want = oracles.marginal_drift_oracle(rows_a, rows_b, cols, cards, distance)
                     assert own.magnitude == pytest.approx(want, abs=TOL)
-                cells.append(own.magnitude)
+                cells.append((own.magnitude, own.sample_sizes))
             _assert_grids(
                 _build(pairwise_joint_map, dataset, window_a, window_b, covariates, distance,
                        include_class=include_class),
@@ -201,7 +210,7 @@ def test_every_map_cell_equals_its_own_count(case):
             own = _own_count(dataset, window_a, window_b, "posterior", subset, distance)
             assert _same(own, compute_drift(dataset, window_a, window_b, "posterior", subset,
                                             distance))
-            posterior.append(own.magnitude)
+            posterior.append((own.magnitude, own.sample_sizes))
         _assert_grids(_build(posterior_pairwise_map, dataset, window_a, window_b, None,
                              distance),
                       [_reference(POSTERIOR_PAIRWISE, covariates, posterior, window_a,
@@ -212,17 +221,17 @@ def test_every_map_cell_equals_its_own_count(case):
                       for name in covariates]
         _assert_grids(_build(conditioned_univariate_map, dataset, window_a, window_b, None,
                              distance),
-                      [HeatMapGrid(CONDITIONED_UNIVARIATE, covariates, labels,
-                                   tuple(map(tuple, univariate)), window_a, window_b,
-                                   distance)])
+                      [_grid_of(CONDITIONED_UNIVARIATE, covariates, labels, univariate,
+                                window_a, window_b, distance)])
         per_class = [_per_class(dataset, window_a, window_b, pair, distance)
                      for _, _, pair in _pairs(covariates)]
         for cell, (_, _, pair) in zip(per_class, _pairs(covariates)):
             cols = dataset.column_indices(pair)
             label = dataset.column_indices(["label"])[0]
-            for code, value in enumerate(cell):
+            for code, (value, sizes) in enumerate(cell):
                 sides = [[r for r in _rows(dataset, w, cols + [label]) if r[label] == code]
                          for w in (window_a, window_b)]
+                assert sizes == tuple(map(len, sides))
                 if not any(sides):
                     assert value is None
                 elif not all(sides):
